@@ -10,8 +10,6 @@ simulator:
   with integrity digests (restart actually restores the numbers);
 * :mod:`coordinator` — the OpenMPI-style all-to-all bookmark protocol:
   quiesce every channel (sent == delivered) before capturing;
-* :mod:`chandy_lamport` — the classic marker-based distributed
-  snapshot, as an alternative coordination protocol;
 * :mod:`service` — the checkpointer "background process" of Section 5:
   a Daly-interval timer plus the cooperative capture path application
   ranks call at step boundaries;

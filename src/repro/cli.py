@@ -473,6 +473,7 @@ def _serve(args) -> int:
             queue_limit=args.queue_limit,
             store=store,
         )
+        server.handle_signals()
         await server.start()
         print(
             f"serving on http://{server.host}:{server.port} "

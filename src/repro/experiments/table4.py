@@ -112,8 +112,8 @@ class ScaledSetup:
 
 def run(
     setup: Optional[ScaledSetup] = None,
-    mtbf_hours: Sequence[float] = PAPER_MTBF_HOURS,
-    degrees: Sequence[float] = PAPER_REDUNDANCY_GRID,
+    mtbf_hours: Optional[Sequence[float]] = None,
+    degrees: Optional[Sequence[float]] = None,
     quick: bool = False,
     progress=None,
     workers: Optional[int] = None,
@@ -124,10 +124,12 @@ def run(
 ) -> ExperimentResult:
     """Run the campaign grid and render the Table 4 matrix.
 
-    ``quick=True`` shrinks the grid to 3 MTBFs x 5 degrees (handy from
-    the CLI); ``progress`` (optional) is called with each finished cell;
-    ``workers`` (or the ``REPRO_WORKERS`` env var) fans the grid out
-    over a process pool with bit-identical results.  ``obs`` (an
+    ``mtbf_hours`` and ``degrees`` default to the paper's full grid, or
+    with ``quick=True`` to 3 MTBFs x 5 degrees (handy from the CLI); an
+    explicit value always wins over ``quick``.  ``progress`` (optional)
+    is called with each finished cell; ``workers`` (or the
+    ``REPRO_WORKERS`` env var) fans the grid out over a process pool
+    with bit-identical results.  ``obs`` (an
     :class:`~repro.obs.ObsSession`) turns on tracing/metrics: every
     cell's job writes a trace part, merged into one JSONL file at the
     end.  Tracing never touches the simulation clock, so traced results
@@ -137,9 +139,10 @@ def run(
     persisted as they finish.
     """
     setup = setup or ScaledSetup()
-    if quick:
-        mtbf_hours = (6.0, 18.0, 30.0)
-        degrees = (1.0, 1.5, 2.0, 2.5, 3.0)
+    if mtbf_hours is None:
+        mtbf_hours = (6.0, 18.0, 30.0) if quick else PAPER_MTBF_HOURS
+    if degrees is None:
+        degrees = (1.0, 1.5, 2.0, 2.5, 3.0) if quick else PAPER_REDUNDANCY_GRID
     base = setup.job_config()
     if obs is not None and obs.enabled:
         obs.stamp(

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from ..errors import ConfigurationError
 from ..models.redundancy import PAPER_REDUNDANCY_GRID, redundant_time
 from ..obs import NULL_TRACER, ObsSession
 from ..orchestration import run_failure_free_sweep
@@ -45,6 +46,11 @@ def run(
     turns on tracing/metrics (see :mod:`repro.obs`); ``store`` makes
     the sweep resumable (see :mod:`repro.store`).
     """
+    if len(degrees) < 2 or 1.0 not in degrees:
+        raise ConfigurationError(
+            "table5 needs at least two degrees including 1.0 (the Eq. 1 "
+            f"base time and the step jumps need them), got {tuple(degrees)}"
+        )
     setup = setup or ScaledSetup()
     base = setup.job_config()
     if obs is not None and obs.enabled:

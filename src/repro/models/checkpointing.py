@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, ModelDivergence
+from .reliability import _where
 
 
 def _validate_positive(name: str, value: float) -> None:
@@ -58,6 +59,20 @@ def segment_failure_pdf(t: float, delta: float, checkpoint_cost: float, mtbf: fl
     return math.exp(-t / mtbf) / (mtbf * denominator)
 
 
+def _lost_work(delta, checkpoint_cost, mtbf):
+    """Eq. 12 for scalars or arrays, clamped to ``[0, delta]``."""
+    delta_c = delta + checkpoint_cost
+    denominator = -np.expm1(-delta_c / mtbf)
+    numerator = -mtbf * np.expm1(-delta / mtbf) - delta * np.exp(-delta_c / mtbf)
+    # Enforce the mathematical bound numerically: for delta << mtbf the
+    # two terms of the numerator cancel to machine precision and can
+    # leave a tiny negative residue, which downstream validation (and
+    # Eq. 13's exp/expm1 calls) must never see.
+    lost = numerator / denominator
+    lost = _where(lost < 0.0, 0.0, lost)
+    return _where(delta < lost, delta, lost)
+
+
 def expected_lost_work(delta: float, checkpoint_cost: float, mtbf: float) -> float:
     """Expected work lost to one failure, ``t_lw`` (Eq. 12).
 
@@ -73,19 +88,16 @@ def expected_lost_work(delta: float, checkpoint_cost: float, mtbf: float) -> flo
     _validate_positive("delta", delta)
     _validate_non_negative("checkpoint_cost", checkpoint_cost)
     _validate_positive("mtbf", mtbf)
-    delta_c = delta + checkpoint_cost
-    # numpy scalar ufuncs keep this bit-identical to the vectorized
-    # pipeline in repro.models.grid (see reliability.py's substrate
-    # note).
-    denominator = float(-np.expm1(-delta_c / mtbf))
-    numerator = float(
-        -mtbf * np.expm1(-delta / mtbf) - delta * np.exp(-delta_c / mtbf)
-    )
-    # Enforce the mathematical bound numerically: for delta << mtbf the
-    # two terms of the numerator cancel to machine precision and can
-    # leave a tiny negative residue, which downstream validation (and
-    # Eq. 13's exp/expm1 calls) must never see.
-    return min(max(numerator / denominator, 0.0), delta)
+    return float(_lost_work(delta, checkpoint_cost, mtbf))
+
+
+def _restart_rework(lost_work, restart_cost, mtbf):
+    """Eq. 13 for scalars or arrays (0 for an empty phase)."""
+    x = restart_cost + lost_work
+    survive = np.exp(-x / mtbf)
+    fail = -np.expm1(-x / mtbf)
+    truncated_expectation = mtbf - survive * (x + mtbf)
+    return _where(x == 0.0, 0.0, fail * truncated_expectation + survive * x)
 
 
 def expected_restart_rework(
@@ -111,13 +123,59 @@ def expected_restart_rework(
     _validate_non_negative("lost_work", lost_work)
     _validate_non_negative("restart_cost", restart_cost)
     _validate_positive("mtbf", mtbf)
-    x = restart_cost + lost_work
-    if x == 0.0:
-        return 0.0
-    survive = float(np.exp(-x / mtbf))
-    fail = float(-np.expm1(-x / mtbf))
-    truncated_expectation = mtbf - survive * (x + mtbf)
-    return fail * truncated_expectation + survive * x
+    return float(_restart_rework(lost_work, restart_cost, mtbf))
+
+
+def _completion(work, delta, checkpoint_cost, failure_rate, restart_cost):
+    """Eqs. 12-14 at interval ``delta``: ``(t_lw, t_RR, T_total)``.
+
+    Scalars or arrays.  This is the model's one divergence verdict:
+    ``T_total`` is ``inf`` where the failure rate is infinite (``R_sys``
+    is 0, the linearised ``t_Red >= theta`` case) or where
+    ``lambda * t_RR >= 1``.  At a zero rate the loss term vanishes and
+    ``T_total`` is exactly the failure-free ``t + t c / delta``;
+    ``t_lw`` and ``t_RR`` are then placeholders at ``Theta = 1``.
+    """
+    live = (failure_rate > 0.0) & (failure_rate < np.inf)
+    mtbf = 1.0 / _where(live, failure_rate, 1.0)
+    lost = _lost_work(delta, checkpoint_cost, mtbf)
+    rework = _restart_rework(lost, restart_cost, mtbf)
+    # lambda * t_RR: nothing at a zero rate, everything at an infinite one.
+    loss = _where(
+        failure_rate < np.inf, _where(live, failure_rate, 0.0) * rework, np.inf
+    )
+    stuck = loss >= 1.0
+    useful = work + work * checkpoint_cost / delta
+    total = useful / (1.0 - _where(stuck, 0.0, loss))
+    return lost, rework, _where(stuck, np.inf, total)
+
+
+def _finite_total(total, failure_rate, restart_rework) -> float:
+    """``T_total`` as a float, or :class:`ModelDivergence` saying why not."""
+    if total < math.inf:
+        return float(total)
+    if failure_rate == math.inf:
+        raise ModelDivergence(
+            "system failure rate diverged (t_Red >= node MTBF under the "
+            "linearised model); use exact_reliability=True or reduce scale"
+        )
+    raise ModelDivergence(
+        f"lambda * t_RR = {failure_rate * restart_rework:.3f} >= 1; "
+        "no finite completion time"
+    )
+
+
+def _checked_completion(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
+    """Validated scalar :func:`_completion`; raises on divergence."""
+    _validate_non_negative("base_time", base_time)
+    _validate_positive("delta", delta)
+    _validate_non_negative("checkpoint_cost", checkpoint_cost)
+    _validate_non_negative("failure_rate", failure_rate)
+    _validate_non_negative("restart_cost", restart_cost)
+    lost, rework, total = _completion(
+        base_time, delta, checkpoint_cost, failure_rate, restart_cost
+    )
+    return float(lost), float(rework), _finite_total(total, failure_rate, rework)
 
 
 def total_time(
@@ -141,32 +199,28 @@ def total_time(
         failure exceeds the time between failures, so the job makes no
         expected forward progress.
     """
-    _validate_non_negative("base_time", base_time)
-    _validate_positive("delta", delta)
-    _validate_non_negative("checkpoint_cost", checkpoint_cost)
-    _validate_non_negative("failure_rate", failure_rate)
-    _validate_non_negative("restart_cost", restart_cost)
-    useful_plus_checkpoints = base_time + base_time * checkpoint_cost / delta
-    if failure_rate == 0.0:
-        return useful_plus_checkpoints
-    if math.isinf(failure_rate):
-        raise ModelDivergence("failure rate is infinite; job never completes")
-    mtbf = 1.0 / failure_rate
-    t_lw = expected_lost_work(delta, checkpoint_cost, mtbf)
-    t_rr = expected_restart_rework(t_lw, restart_cost, mtbf)
-    loss = failure_rate * t_rr
-    if loss >= 1.0:
-        raise ModelDivergence(
-            f"lambda * t_RR = {loss:.3f} >= 1; no finite completion time"
-        )
-    return useful_plus_checkpoints / (1.0 - loss)
+    return _checked_completion(
+        base_time, delta, checkpoint_cost, failure_rate, restart_cost
+    )[2]
+
+
+def _young(checkpoint_cost, mtbf):
+    return np.sqrt(2.0 * checkpoint_cost * mtbf)
+
+
+def _daly(checkpoint_cost, mtbf):
+    """Eq. 15 for scalars or arrays; ``inf`` at an infinite MTBF."""
+    ratio = checkpoint_cost / (2.0 * mtbf)
+    correction = 1.0 + np.sqrt(ratio) / 3.0 + ratio / 9.0
+    expansion = _young(checkpoint_cost, mtbf) * correction - checkpoint_cost
+    return _where(ratio >= 1.0, mtbf, expansion)
 
 
 def young_interval(checkpoint_cost: float, mtbf: float) -> float:
     """Young's first-order optimum interval ``sqrt(2 c Theta)`` [Young 1974]."""
     _validate_positive("checkpoint_cost", checkpoint_cost)
     _validate_positive("mtbf", mtbf)
-    return math.sqrt(2.0 * checkpoint_cost * mtbf)
+    return float(_young(checkpoint_cost, mtbf))
 
 
 def daly_interval(checkpoint_cost: float, mtbf: float) -> float:
@@ -181,12 +235,7 @@ def daly_interval(checkpoint_cost: float, mtbf: float) -> float:
     """
     _validate_positive("checkpoint_cost", checkpoint_cost)
     _validate_positive("mtbf", mtbf)
-    ratio = checkpoint_cost / (2.0 * mtbf)
-    if ratio >= 1.0:
-        return mtbf
-    base = math.sqrt(2.0 * checkpoint_cost * mtbf)
-    correction = 1.0 + math.sqrt(ratio) / 3.0 + ratio / 9.0
-    return base * correction - checkpoint_cost
+    return float(_daly(checkpoint_cost, mtbf))
 
 
 @dataclass(frozen=True)
@@ -225,7 +274,14 @@ def time_breakdown(
     Mirrors the Sandia-study presentation the paper reprints as Tables
     2 and 3: each share is a fraction of the total wallclock time.
     """
-    t_total = total_time(base_time, delta, checkpoint_cost, failure_rate, restart_cost)
+    arguments = (base_time, delta, checkpoint_cost, failure_rate, restart_cost)
+    return _breakdown(*arguments, *_checked_completion(*arguments))
+
+
+def _breakdown(
+    base_time, delta, checkpoint_cost, failure_rate, restart_cost, t_lw, t_rr, t_total
+) -> TimeBreakdown:
+    """The shares of one finite scalar :func:`_completion`."""
     work_share = base_time / t_total
     checkpoint_share = (base_time * checkpoint_cost / delta) / t_total
     if failure_rate == 0.0:
@@ -233,9 +289,6 @@ def time_breakdown(
         restart_share = 0.0
         failures = 0.0
     else:
-        mtbf = 1.0 / failure_rate
-        t_lw = expected_lost_work(delta, checkpoint_cost, mtbf)
-        t_rr = expected_restart_rework(t_lw, restart_cost, mtbf)
         failures = t_total * failure_rate
         rr_share = failure_rate * t_rr
         phase = restart_cost + t_lw

@@ -13,6 +13,10 @@ Figures 4-6 and 13-14 are produced:
    rule optionally) at the *system* MTBF;
 4. evaluate the Eq. 14 fixed point with the redundant time as the work
    term.
+
+:func:`_evaluate` is that pipeline for scalars or arrays; both
+:meth:`CombinedModel.evaluate` and :func:`~repro.models.grid.evaluate_grid`
+run it.
 """
 
 from __future__ import annotations
@@ -21,23 +25,77 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from ..errors import ConfigurationError, ModelDivergence
 from .checkpointing import (
     TimeBreakdown,
-    daly_interval,
-    time_breakdown,
-    young_interval,
+    _breakdown,
+    _completion,
+    _daly,
+    _finite_total,
+    _young,
 )
 from .redundancy import (
     RedundancyPartition,
-    partition_processes,
-    redundant_time,
-    system_failure_rate,
-    system_reliability,
+    _failure_rate,
+    _partition,
+    _partition_record,
+    _redundant_time,
+    _system_mtbf,
+    _system_reliability,
 )
+from .reliability import _node_failure, _where
 
 #: Supported checkpoint-interval rules.
 INTERVAL_RULES = ("daly", "young")
+
+#: The numeric domain of a model as ``(field, test, message)``; the
+#: tests check one value or every cell of an array alike.
+_DOMAIN = (
+    ("virtual_processes", lambda v: v >= 1, "virtual_processes must be >= 1"),
+    ("redundancy", lambda v: v >= 1.0, "redundancy must be >= 1"),
+    ("node_mtbf", lambda v: v > 0, "node_mtbf must be > 0"),
+    ("alpha", lambda v: (v >= 0.0) & (v <= 1.0), "alpha must be in [0, 1]"),
+    ("base_time", lambda v: v > 0, "base_time must be > 0"),
+    ("checkpoint_cost", lambda v: v > 0, "checkpoint_cost must be > 0"),
+    ("restart_cost", lambda v: v >= 0, "restart_cost must be >= 0"),
+)
+
+
+def _check_domain(model, holds) -> None:
+    """Raise for the first field out of its domain (``holds``: bool or np.all)."""
+    for name, test, message in _DOMAIN:
+        if not holds(test(getattr(model, name))):
+            raise ConfigurationError(message)
+
+
+def _evaluate(model):
+    """One pass of the Section 4.3 pipeline over scalars or arrays.
+
+    ``model`` is a :class:`CombinedModel` or has its fields as broadcast
+    arrays.  Returns ``(t_Red, partition, R_sys, lambda, Theta_sys,
+    delta, t_lw, t_RR, T_total)``; divergence is ``T_total = inf``.
+    """
+    c = model.checkpoint_cost
+    t_red = _redundant_time(model.base_time, model.alpha, model.redundancy)  # Eq. 1
+    partition = _partition(model.virtual_processes, model.redundancy)  # Eqs. 5-8
+    p = _node_failure(t_red, model.node_mtbf, model.exact_reliability)  # Eqs. 2-3
+    r_sys = _system_reliability(p, *partition[:4])  # Eqs. 4, 9
+    rate = _failure_rate(r_sys, t_red)  # Eq. 10
+    mtbf = _system_mtbf(rate)
+    delta = model.checkpoint_interval
+    if delta is None:
+        # Eq. 15 (or Young), clamped to the nominal one-checkpoint run.
+        # A zero rate gives an infinite MTBF and rule interval, so the
+        # clamp is the failure-free branch (delta = t_Red), continuous
+        # where the rate underflows to 0.0.  Diverged cells take an
+        # infinite MTBF too, only to keep the rule finite.
+        rule = _young if model.interval_rule == "young" else _daly
+        rule_delta = rule(c, _where(rate < np.inf, mtbf, np.inf))
+        delta = _where(rule_delta < t_red, rule_delta, t_red)
+    t_lw, t_rr, total = _completion(t_red, delta, c, rate, model.restart_cost)  # Eqs. 12-14
+    return t_red, partition, r_sys, rate, mtbf, delta, t_lw, t_rr, total
 
 
 @dataclass(frozen=True)
@@ -146,14 +204,6 @@ class CombinedModel:
         """Copy of this configuration at a different process count."""
         return replace(self, virtual_processes=virtual_processes)
 
-    def interval(self, system_mtbf: float) -> float:
-        """The checkpoint interval this configuration will use."""
-        if self.checkpoint_interval is not None:
-            return self.checkpoint_interval
-        if self.interval_rule == "young":
-            return young_interval(self.checkpoint_cost, system_mtbf)
-        return daly_interval(self.checkpoint_cost, system_mtbf)
-
     def evaluate(self) -> CombinedResult:
         """Run the full Section 4.3 pipeline for this configuration.
 
@@ -163,53 +213,23 @@ class CombinedModel:
             When the configuration has no finite expected completion
             time (see :func:`repro.models.checkpointing.total_time`).
         """
-        t_red = redundant_time(self.base_time, self.alpha, self.redundancy)
-        partition = partition_processes(self.virtual_processes, self.redundancy)
-        r_sys = system_reliability(
-            self.virtual_processes,
-            self.redundancy,
-            t_red,
-            self.node_mtbf,
-            exact=self.exact_reliability,
-        )
-        rate = system_failure_rate(
-            self.virtual_processes,
-            self.redundancy,
-            t_red,
-            self.node_mtbf,
-            exact=self.exact_reliability,
-        )
-        if math.isinf(rate):
-            raise ModelDivergence(
-                "system failure rate diverged (t_Red >= node MTBF under the "
-                "linearised model); use exact_reliability=True or reduce scale"
-            )
-        mtbf = math.inf if rate == 0.0 else 1.0 / rate
-        if self.checkpoint_interval is not None:
-            delta = self.checkpoint_interval
-        elif math.isinf(mtbf):
-            # Failure-free in expectation: still checkpoint at a nominal
-            # interval so the breakdown is well defined.
-            delta = t_red
-        else:
-            # Clamp the rule interval to the nominal one-checkpoint run.
-            # As rate -> 0 the rule interval grows without bound, so the
-            # clamp makes this branch converge continuously to the
-            # failure-free branch above; an unclamped interval longer
-            # than the run itself is meaningless and opened a
-            # one-checkpoint-cost discontinuity at the boundary where
-            # the rate underflows to exactly 0.0.
-            delta = min(self.interval(mtbf), t_red)
-        breakdown = time_breakdown(
-            t_red, delta, self.checkpoint_cost, rate, self.restart_cost
+        _check_domain(self, bool)
+        t_red, partition, r_sys, rate, mtbf, delta, t_lw, t_rr, total = _evaluate(self)
+        total = _finite_total(total, rate, t_rr)
+        rate, delta = float(rate), float(delta)
+        breakdown = _breakdown(
+            t_red, delta, self.checkpoint_cost, rate, self.restart_cost,
+            float(t_lw), float(t_rr), total,
         )
         return CombinedResult(
             model=self,
             redundant_time=t_red,
-            partition=partition,
-            system_reliability=r_sys,
+            partition=_partition_record(
+                self.virtual_processes, self.redundancy, partition
+            ),
+            system_reliability=float(r_sys),
             failure_rate=rate,
-            system_mtbf=mtbf,
+            system_mtbf=float(mtbf),
             checkpoint_interval=delta,
             total_time=breakdown.total_time,
             breakdown=breakdown,

@@ -8,12 +8,12 @@ Eq. 1 (redundant time), Eqs. 5-8 (partition), Eq. 9 (reliability),
 Eq. 10 (failure rate), Eq. 15/Young (interval) and Eq. 14 (total time)
 — over NumPy arrays in one shot, broadcasting its inputs.
 
-The arithmetic mirrors the scalar implementation operation-for-operation
-(including the paper's ``t/theta`` linearisation clamp, the partition's
-float-artifact epsilon, Daly's ``c >= 2 Theta`` guard, and the
-``exp``/``log`` round trip in Eq. 10), so results agree with
-``CombinedModel.evaluate()`` to float64 rounding — the equivalence test
-in ``tests/models/test_grid.py`` asserts 1e-9 relative error.
+There is no second implementation here: :func:`evaluate_grid`
+validates and broadcasts its inputs, then runs the same
+:func:`~repro.models.combined._evaluate` pass that
+``CombinedModel.evaluate()`` runs on one configuration.  Every cell is
+therefore bit-identical to the scalar result, which
+``tests/models/test_grid.py`` asserts with exact equality.
 
 Divergent cells (where the scalar model raises
 :class:`~repro.errors.ModelDivergence`) carry ``inf`` total time, the
@@ -22,14 +22,16 @@ same convention as ``CombinedModel.total_time_or_inf()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .combined import INTERVAL_RULES, CombinedModel
-from .reliability import integer_power
+from .combined import INTERVAL_RULES, CombinedModel, _check_domain, _evaluate
+
+#: The numeric :class:`CombinedModel` fields, in evaluate_grid's order.
+_NUMERIC_FIELDS = tuple(field.name for field in fields(CombinedModel))[:7]
 
 __all__ = [
     "ModelGrid",
@@ -91,26 +93,6 @@ class ModelGrid:
         return self.total_processes * self.total_time
 
 
-def _as_float(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
-def _sphere_power(p: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """``p ** levels`` for integer-valued level arrays, bit-identical to
-    the scalar path's :func:`~repro.models.reliability.integer_power`.
-
-    ``np.power``'s array loop and numpy's scalar path disagree in the
-    last ULP for some inputs (e.g. squaring), so the sphere failure
-    probability is computed with the same ascending multiply chain the
-    scalar model uses, one chain per distinct replication level.
-    """
-    result = np.empty_like(p)
-    for level in np.unique(levels):
-        mask = levels == level
-        result[mask] = integer_power(p[mask], int(level))
-    return result
-
-
 def evaluate_grid(
     virtual_processes,
     redundancy,
@@ -133,142 +115,26 @@ def evaluate_grid(
         raise ConfigurationError(
             f"interval_rule must be one of {INTERVAL_RULES}, got {interval_rule!r}"
         )
-    n = _as_float(virtual_processes)
-    r = _as_float(redundancy)
-    theta = _as_float(node_mtbf)
-    a = _as_float(alpha)
-    t = _as_float(base_time)
-    c = _as_float(checkpoint_cost)
-    rc = _as_float(restart_cost)
-    if np.any(n < 1):
-        raise ConfigurationError("virtual_processes must be >= 1")
-    if np.any(r < 1.0):
-        raise ConfigurationError("redundancy must be >= 1")
-    if np.any(theta <= 0):
-        raise ConfigurationError("node_mtbf must be > 0")
-    if np.any((a < 0.0) | (a > 1.0)):
-        raise ConfigurationError("alpha must be in [0, 1]")
-    if np.any(t < 0):
-        raise ConfigurationError("base_time must be >= 0")
-    if np.any(c <= 0):
-        raise ConfigurationError("checkpoint_cost must be > 0")
-    if np.any(rc < 0):
-        raise ConfigurationError("restart_cost must be >= 0")
-    override = None
-    if checkpoint_interval is not None:
-        override = _as_float(checkpoint_interval)
-        if np.any(override <= 0):
-            raise ConfigurationError("checkpoint_interval override must be > 0")
-
-    shape = np.broadcast_shapes(
-        n.shape, r.shape, theta.shape, a.shape, t.shape, c.shape, rc.shape,
-        override.shape if override is not None else (),
+    values = (
+        virtual_processes, redundancy, node_mtbf, alpha, base_time,
+        checkpoint_cost, restart_cost,
+        np.nan if checkpoint_interval is None else checkpoint_interval,
     )
-    n, r, theta, a, t, c, rc = (
-        np.broadcast_to(x, shape).astype(np.float64)
-        for x in (n, r, theta, a, t, c, rc)
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in values))
+    model = SimpleNamespace(
+        **dict(zip(_NUMERIC_FIELDS, arrays)),
+        interval_rule=interval_rule,
+        checkpoint_interval=None if checkpoint_interval is None else arrays[-1],
+        exact_reliability=exact_reliability,
     )
-    if override is not None:
-        override = np.broadcast_to(override, shape).astype(np.float64)
-
+    _check_domain(model, np.all)
+    if checkpoint_interval is not None and not np.all(arrays[-1] > 0):
+        raise ConfigurationError("checkpoint_interval override must be > 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Eq. 1 — redundant execution time.
-        t_red = (1.0 - a) * t + a * t * r
-
-        # Eqs. 5-8 — the partial-redundancy partition.
-        floor_level = np.floor(r)
-        ceil_level = np.ceil(r)
-        integer_r = floor_level == ceil_level
-        # Epsilon mirrors the scalar partition's float-artifact guard.
-        floor_count = np.where(
-            integer_r, 0.0, np.floor((ceil_level - r) * n + 1e-9)
-        )
-        ceil_count = n - floor_count
-        total_processes = ceil_count * ceil_level + floor_count * floor_level
-
-        # Eq. 9 — log-space system reliability.
-        if exact_reliability:
-            p = -np.expm1(-t_red / theta)
-        else:
-            p = np.minimum(1.0, t_red / theta)
-        log_r = np.zeros(shape, dtype=np.float64)
-        dead = np.zeros(shape, dtype=bool)
-        for count, level in ((floor_count, floor_level), (ceil_count, ceil_level)):
-            active = count > 0
-            sphere_fail = _sphere_power(p, level)
-            dead |= active & (sphere_fail >= 1.0)
-            term = np.where(
-                active & (sphere_fail < 1.0),
-                count * np.log1p(-np.where(sphere_fail < 1.0, sphere_fail, 0.0)),
-                0.0,
-            )
-            log_r = log_r + term
-        r_sys = np.where(dead, 0.0, np.exp(log_r))
-
-        # Eq. 10 — failure rate and system MTBF (round trip through
-        # exp/log exactly like the scalar path).
-        rate = np.where(r_sys <= 0.0, np.inf, -np.log(r_sys) / t_red)
-        failure_free = rate == 0.0
-        diverged = np.isinf(rate)
-        mtbf = np.where(failure_free, np.inf, 1.0 / np.where(rate > 0, rate, 1.0))
-
-        # Eq. 15 / Young / override — checkpoint interval.
-        safe_mtbf = np.where(np.isfinite(mtbf) & (mtbf > 0), mtbf, 1.0)
-        if interval_rule == "young":
-            rule_delta = np.sqrt(2.0 * c * safe_mtbf)
-        else:
-            ratio = c / (2.0 * safe_mtbf)
-            base = np.sqrt(2.0 * c * safe_mtbf)
-            correction = 1.0 + np.sqrt(ratio) / 3.0 + ratio / 9.0
-            rule_delta = np.where(ratio >= 1.0, safe_mtbf, base * correction - c)
-        if override is not None:
-            delta = override.copy()
-        else:
-            # Failure-free in expectation: nominal one-checkpoint run.
-            # Elsewhere the rule interval is clamped to that same
-            # nominal run, so the failure-free branch is the continuous
-            # rate -> 0 limit (rule_delta -> inf) — mirroring the
-            # scalar path exactly; see CombinedModel.evaluate().
-            delta = np.where(failure_free, t_red, np.minimum(rule_delta, t_red))
-        delta = np.where(diverged, np.nan, delta)
-
-        # Eq. 14 — total time via Eqs. 12-13.
-        safe_delta = np.where(np.isfinite(delta) & (delta > 0), delta, 1.0)
-        useful = t_red + t_red * c / safe_delta
-        delta_c = safe_delta + c
-        denom = -np.expm1(-delta_c / safe_mtbf)
-        denom = np.where(denom > 0, denom, 1.0)
-        # Clipped to the mathematical bound 0 <= t_lw <= delta: for
-        # delta << mtbf the numerator cancels to machine precision and
-        # can leave a tiny negative residue (mirrors the scalar clamp).
-        t_lw = np.clip(
-            (
-                -safe_mtbf * np.expm1(-safe_delta / safe_mtbf)
-                - safe_delta * np.exp(-delta_c / safe_mtbf)
-            ) / denom,
-            0.0,
-            safe_delta,
-        )
-        x = rc + t_lw
-        survive = np.exp(-x / safe_mtbf)
-        fail = -np.expm1(-x / safe_mtbf)
-        truncated = safe_mtbf - survive * (x + safe_mtbf)
-        t_rr = np.where(x == 0.0, 0.0, fail * truncated + survive * x)
-        loss = rate * t_rr
-        no_progress = diverged | (loss >= 1.0) | ~np.isfinite(loss)
-        total = np.where(
-            failure_free, useful, np.where(no_progress, np.inf, useful / (1.0 - loss))
-        )
-        mtbf_out = np.where(diverged, 0.0, mtbf)
-
+        t_red, partition, r_sys, rate, mtbf, delta, _, _, total = _evaluate(model)
+    interval = np.where(rate == np.inf, np.nan, delta)
     return ModelGrid(
-        redundant_time=t_red,
-        total_processes=total_processes,
-        system_reliability=r_sys,
-        failure_rate=rate,
-        system_mtbf=mtbf_out,
-        checkpoint_interval=delta,
-        total_time=total,
+        *map(np.asarray, (t_red, partition[-1], r_sys, rate, mtbf, interval, total))
     )
 
 

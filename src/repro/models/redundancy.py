@@ -23,10 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .reliability import integer_power, node_failure_probability
+from .reliability import _node_failure, _where, integer_power, node_failure_probability
 
 #: Redundancy degrees the paper sweeps (1x .. 3x in 0.25 steps).
 PAPER_REDUNDANCY_GRID = tuple(1.0 + 0.25 * i for i in range(9))
+
+
+def _redundant_time(base_time, alpha, redundancy):
+    """Eq. 1 for scalars or arrays."""
+    return (1.0 - alpha) * base_time + alpha * base_time * redundancy
 
 
 def redundant_time(base_time: float, alpha: float, redundancy: float) -> float:
@@ -54,7 +59,7 @@ def redundant_time(base_time: float, alpha: float, redundancy: float) -> float:
         raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
     if redundancy < 1.0:
         raise ConfigurationError(f"redundancy must be >= 1, got {redundancy}")
-    return (1.0 - alpha) * base_time + alpha * base_time * redundancy
+    return _redundant_time(base_time, alpha, redundancy)
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,27 @@ class RedundancyPartition:
         return self.floor_level
 
 
+def _partition(virtual_processes, redundancy):
+    """Eqs. 5-8 for scalars or arrays, as floats.
+
+    Returns ``(floor_level, ceil_level, floor_count, ceil_count,
+    total_processes)``.
+    """
+    floor_level = np.floor(redundancy)
+    ceil_level = np.ceil(redundancy)
+    # Integer r leaves the floor set empty.  The tiny epsilon guards
+    # against float artifacts like (2 - 1.1) * 30 == 26.999999999999996
+    # flooring to 26.
+    floor_count = _where(
+        floor_level == ceil_level,
+        0.0,
+        np.floor((ceil_level - redundancy) * virtual_processes + 1e-9),
+    )
+    ceil_count = virtual_processes - floor_count
+    total = ceil_count * ceil_level + floor_count * floor_level
+    return floor_level, ceil_level, floor_count, ceil_count, total
+
+
 def partition_processes(virtual_processes: int, redundancy: float) -> RedundancyPartition:
     """Split ``N`` virtual processes into the Eq. 5-8 partial-r partition.
 
@@ -120,28 +146,47 @@ def partition_processes(virtual_processes: int, redundancy: float) -> Redundancy
         )
     if redundancy < 1.0:
         raise ConfigurationError(f"redundancy must be >= 1, got {redundancy}")
-    floor_level = math.floor(redundancy)
-    ceil_level = math.ceil(redundancy)
-    if floor_level == ceil_level:  # integer r: homogeneous system
-        floor_count = 0
-        ceil_count = virtual_processes
-    else:
-        # Tiny epsilon guards against float artifacts like
-        # (2 - 1.1) * 30 == 26.999999999999996 flooring to 26.
-        floor_count = math.floor(
-            (ceil_level - redundancy) * virtual_processes + 1e-9
-        )
-        ceil_count = virtual_processes - floor_count
-    total = ceil_count * ceil_level + floor_count * floor_level
-    return RedundancyPartition(
-        virtual_processes=virtual_processes,
-        redundancy=redundancy,
-        floor_level=floor_level,
-        ceil_level=ceil_level,
-        floor_count=floor_count,
-        ceil_count=ceil_count,
-        total_processes=total,
+    return _partition_record(
+        virtual_processes, redundancy, _partition(virtual_processes, redundancy)
     )
+
+
+def _partition_record(virtual_processes, redundancy, partition) -> RedundancyPartition:
+    """The :class:`RedundancyPartition` of one scalar :func:`_partition`."""
+    return RedundancyPartition(virtual_processes, redundancy, *map(int, partition))
+
+
+def _system_reliability(p, floor_level, ceil_level, floor_count, ceil_count):
+    """Eq. 9 in log space, for scalars or arrays.
+
+    ``p`` is the node failure probability.  It never exceeds 1, and a
+    product of factors below 1 stays below 1, so a sphere fails surely
+    exactly when ``p == 1`` — and then, since ``N >= 1``, so does the
+    system.
+    """
+    certain = p >= 1.0
+    p = _where(certain, 0.0, p)
+    floor_fail = integer_power(p, floor_level)
+    # p^ceil(r) extends the same multiply chain by one step, so it equals
+    # integer_power(p, ceil_level) bit for bit.
+    ceil_fail = _where(ceil_level > floor_level, floor_fail * p, floor_fail)
+    # An empty set contributes a signed zero, which leaves the sum as is.
+    log_r = floor_count * np.log1p(-floor_fail) + ceil_count * np.log1p(-ceil_fail)
+    return _where(certain, 0.0, np.exp(log_r))
+
+
+def _failure_rate(reliability, exposure_time):
+    """Eq. 10's ``-ln(R_sys) / t_Red``; ``inf`` where ``R_sys`` is 0."""
+    alive = reliability > 0.0
+    rate = -np.log(_where(alive, reliability, 1.0)) / exposure_time
+    return _where(alive, rate, np.inf)
+
+
+def _system_mtbf(rate):
+    """Eq. 10's ``1 / lambda``: ``inf`` when failure-free, 0 when diverged."""
+    finite = (rate > 0.0) & (rate < np.inf)
+    inverse = 1.0 / _where(finite, rate, 1.0)
+    return _where(finite, inverse, _where(rate == 0.0, np.inf, 0.0))
 
 
 def system_reliability(
@@ -161,24 +206,14 @@ def system_reliability(
 
     Computed in log space: at the paper's scales (``N`` up to 10^6) the
     direct product underflows.
-
-    Bit-identical to the vectorized pipeline in
-    :mod:`repro.models.grid`: transcendentals go through numpy's scalar
-    ufuncs and sphere powers through
-    :func:`~repro.models.reliability.integer_power`, in the same
-    floor-then-ceil accumulation order.
     """
     part = partition_processes(virtual_processes, redundancy)
     p = node_failure_probability(exposure_time, node_mtbf, exact=exact)
-    log_r = 0.0
-    for count, level in ((part.floor_count, part.floor_level), (part.ceil_count, part.ceil_level)):
-        if count == 0:
-            continue
-        sphere_fail = integer_power(p, level)
-        if sphere_fail >= 1.0:
-            return 0.0
-        log_r = log_r + count * float(np.log1p(-sphere_fail))
-    return float(np.exp(log_r))
+    return float(
+        _system_reliability(
+            p, part.floor_level, part.ceil_level, part.floor_count, part.ceil_count
+        )
+    )
 
 
 def system_failure_rate(
@@ -190,7 +225,7 @@ def system_failure_rate(
 ) -> float:
     """System failure rate ``lambda_sys = -ln(R_sys) / t_Red`` (Eq. 10).
 
-    Returns ``math.inf`` when the system reliability is zero over the
+    Returns ``inf`` when the system reliability is zero over the
     exposure interval (the linearised model with ``t_Red >= theta``).
     """
     if exposure_time <= 0:
@@ -198,9 +233,7 @@ def system_failure_rate(
     r_sys = system_reliability(
         virtual_processes, redundancy, exposure_time, node_mtbf, exact=exact
     )
-    if r_sys <= 0.0:
-        return math.inf
-    return float(-np.log(r_sys) / exposure_time)
+    return float(_failure_rate(r_sys, exposure_time))
 
 
 def system_mtbf(
@@ -212,17 +245,13 @@ def system_mtbf(
 ) -> float:
     """System MTBF ``Theta_sys = 1 / lambda_sys`` (Eq. 10).
 
-    Returns ``math.inf`` for a failure-free system (``R_sys == 1``) and
+    Returns ``inf`` for a failure-free system (``R_sys == 1``) and
     ``0.0`` when the failure rate diverges.
     """
     rate = system_failure_rate(
         virtual_processes, redundancy, exposure_time, node_mtbf, exact=exact
     )
-    if rate == 0.0:
-        return math.inf
-    if math.isinf(rate):
-        return 0.0
-    return 1.0 / rate
+    return float(_system_mtbf(rate))
 
 
 def birthday_collision_probability(n: int) -> float:

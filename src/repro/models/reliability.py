@@ -15,15 +15,13 @@ The linearised probability is clamped to ``[0, 1]`` — for very unreliable
 configurations (``t > theta``) the raw linearisation exceeds 1 and would
 otherwise produce negative reliabilities downstream in Eq. 9.
 
-Arithmetic substrate: every transcendental on the model's evaluation
-path goes through :mod:`numpy`'s scalar ufuncs (``np.expm1`` here) and
-integer powers through :func:`integer_power`, so the scalar pipeline is
-**bit-identical** to the vectorized :mod:`repro.models.grid` pipeline —
-numpy's element-wise loops give the same last-ULP result for a batch of
-one and a batch of a thousand, while ``libm``'s ``math.*`` functions do
-not always agree with them.  The serving layer's batched answers equal
-direct scalar calls because of this invariant; don't reintroduce
-``math.exp``-family calls on this path.
+One implementation serves scalars and arrays: each of Eqs. 1-15 is a
+private function over Python floats *or* NumPy arrays, with
+transcendentals as NumPy ufuncs (``np.expm1`` here), plain arithmetic
+operators, :func:`integer_power` for powers and :func:`_where` for
+branches.  NumPy's element-wise loops give the same last-ULP result for
+one cell and for a thousand (``libm``'s ``math.*`` functions do not),
+so a grid cell is bit-identical to the scalar answer.
 """
 
 from __future__ import annotations
@@ -33,24 +31,51 @@ import numpy as np
 from ..errors import ConfigurationError
 
 
-def integer_power(base, exponent: int):
+def _where(condition, if_true, if_false):
+    """``np.where`` for an array condition, a conditional expression otherwise.
+
+    Every data-dependent branch of Eqs. 1-15 goes through here.  Both
+    branch values are computed either way, so each must stay finite (or
+    a harmless ``inf``) even where it is discarded.
+    """
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
+
+
+def integer_power(base, exponent):
     """``base ** exponent`` by ascending repeated multiplication.
 
     ``pow``'s result differs between numpy's scalar path, numpy's array
     loops and libm; a fixed multiply chain is correctly rounded per step
     and therefore bit-identical for Python floats and numpy arrays
     alike.  Exponents on the model path are sphere replication levels —
-    tiny integers — so the chain is short.  Works element-wise when
-    ``base`` is an array.
+    tiny integers — so the chain is short.
+
+    ``exponent`` is a positive integer, or an array of integer-valued
+    levels with one level per cell of ``base``: each cell's chain stops
+    at its own level, so its result is the same as for a scalar call.
     """
-    if exponent < 1:
+    if isinstance(exponent, np.ndarray):
+        lowest, highest = exponent.min(initial=1), exponent.max(initial=1)
+    else:
+        lowest = highest = exponent
+    if lowest < 1:
         raise ConfigurationError(
-            f"integer_power exponent must be >= 1, got {exponent}"
+            f"integer_power exponent must be >= 1, got {lowest}"
         )
     result = base
-    for _ in range(int(exponent) - 1):
-        result = result * base
+    for level in range(2, int(highest) + 1):
+        result = _where(exponent >= level, result * base, result)
     return result
+
+
+def _node_failure(t, theta, exact):
+    """Eqs. 2-3: ``1 - exp(-t/theta)``, or ``t/theta`` clamped to 1."""
+    if exact:
+        return -np.expm1(-t / theta)
+    ratio = t / theta
+    return _where(ratio < 1.0, ratio, 1.0)
 
 
 def _validate_time(t: float) -> None:
@@ -79,9 +104,7 @@ def node_failure_probability(t: float, theta: float, exact: bool = False) -> flo
     """
     _validate_time(t)
     _validate_mtbf(theta)
-    if exact:
-        return float(-np.expm1(-t / theta))
-    return min(1.0, t / theta)
+    return float(_node_failure(t, theta, exact))
 
 
 def node_reliability(t: float, theta: float, exact: bool = False) -> float:

@@ -16,14 +16,14 @@ batch width.
 Correctness contract — **batched answers are bit-identical to direct
 scalar model calls**.  Two mechanisms guarantee it:
 
-* the scalar and vectorized pipelines share one arithmetic substrate
-  (numpy scalar ufuncs + ``integer_power``; see
+* there is one implementation of Eqs. 1-15: ``evaluate_grid`` runs the
+  same code as ``CombinedModel.evaluate()`` (see
   :mod:`repro.models.reliability`), and numpy's element-wise loops give
   the same last-ULP result for a batch of one and a batch of a
   thousand;
 * requests are grouped by the non-numeric knobs (``interval_rule``,
-  ``exact_reliability``, override presence) so every grid call is
-  homogeneous in code path and only the numeric inputs vary.
+  ``exact_reliability``, override presence), which select code paths
+  per call rather than per cell.
 
 Robustness: every request is domain-validated *before* it enters the
 queue (:func:`validate_model`), so one bad request 400s alone instead
@@ -45,7 +45,7 @@ from ..errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from ..models.combined import CombinedModel
+from ..models.combined import CombinedModel, _check_domain
 from ..models.grid import evaluate_grid
 
 __all__ = ["MicroBatcher", "model_to_dict", "validate_model"]
@@ -59,28 +59,15 @@ _STOP = object()
 
 
 def validate_model(model: CombinedModel) -> None:
-    """Domain-check one request's model up front (mirrors the grid).
+    """Domain-check one request's model up front.
 
-    ``CombinedModel`` itself validates only its structural fields;
-    the numeric domains are enforced lazily by the evaluation pipeline.
-    A batched service must check them *per request*: a single
-    out-of-domain value would otherwise fail the whole grid call and
-    take its batch-mates down with it.
+    ``CombinedModel`` itself validates only its structural fields; the
+    numeric domain (the one ``evaluate()`` and ``evaluate_grid`` check)
+    is enforced at evaluation time.  A batched service must check it
+    *per request*: a single out-of-domain value would otherwise fail
+    the whole grid call and take its batch-mates down with it.
     """
-    if model.virtual_processes < 1:
-        raise ConfigurationError("virtual_processes must be >= 1")
-    if model.redundancy < 1.0:
-        raise ConfigurationError("redundancy must be >= 1")
-    if model.node_mtbf <= 0:
-        raise ConfigurationError("node_mtbf must be > 0")
-    if not 0.0 <= model.alpha <= 1.0:
-        raise ConfigurationError("alpha must be in [0, 1]")
-    if model.base_time < 0:
-        raise ConfigurationError("base_time must be >= 0")
-    if model.checkpoint_cost <= 0:
-        raise ConfigurationError("checkpoint_cost must be > 0")
-    if model.restart_cost < 0:
-        raise ConfigurationError("restart_cost must be >= 0")
+    _check_domain(model, bool)
 
 
 def model_to_dict(model: CombinedModel) -> Dict[str, Any]:

@@ -93,7 +93,7 @@ class ServerThread:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        await self.server.run(install_signal_handlers=False)
+        await self.server.run()
 
     def start(self) -> "ServerThread":
         self._thread.start()

@@ -62,10 +62,24 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Largest request body accepted; a bigger ``Content-Length`` is
+#: answered 413 before a single body byte is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _HttpError(Exception):
+    """A request the parser rejects; the connection closes after the reply."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
 
 #: Fields a ``/evaluate`` body may carry (the CombinedModel parameters).
 _MODEL_FIELDS = {
@@ -226,24 +240,25 @@ class ModelServer:
         """Signal-handler entry point: begin the drain asynchronously."""
         self._shutdown.set()
 
-    async def run(self, install_signal_handlers: bool = True) -> None:
-        """Serve until SIGTERM/SIGINT (or :meth:`request_shutdown`)."""
+    def handle_signals(self) -> None:
+        """Make SIGTERM/SIGINT start the drain (where the platform allows).
+
+        Call this before announcing the port: a signal that arrives
+        between the announcement and the handlers would kill the
+        process instead of draining it.
+        """
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            with contextlib.suppress(NotImplementedError, RuntimeError):
+                loop.add_signal_handler(sig, self.request_shutdown)
+
+    async def run(self) -> None:
+        """Serve until :meth:`request_shutdown` (see :meth:`handle_signals`)."""
         if self._server is None:
             await self.start()
-        loop = asyncio.get_running_loop()
-        installed = []
-        if install_signal_handlers:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self.request_shutdown)
-                    installed.append(sig)
-                except (NotImplementedError, RuntimeError):
-                    pass
         try:
             await self._shutdown.wait()
         finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
             await self.stop()
 
     @property
@@ -256,7 +271,13 @@ class ModelServer:
         self._connections.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError as error:
+                    self.metrics.counter("serve.bad_requests").inc()
+                    payload = {"error": str(error), "error_type": "ConfigurationError"}
+                    await self._respond(writer, error.status, payload, keep=False)
+                    break
                 if request is None:
                     break
                 method, path, headers, raw = request
@@ -292,7 +313,14 @@ class ModelServer:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        text = headers.get("content-length", "0") or "0"
+        if not text.isdecimal():
+            raise _HttpError(400, f"bad Content-Length: {text!r}")
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            raise _HttpError(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES} bytes"
+            )
         raw = await reader.readexactly(length) if length > 0 else b""
         return method, path, headers, raw
 

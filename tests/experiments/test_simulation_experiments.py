@@ -7,6 +7,7 @@ pivoting, findings, plots) stays covered by the fast suite.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
 from repro.experiments.table4 import ScaledSetup
 
@@ -68,6 +69,46 @@ class TestTable5Tiny:
 
     def test_first_jump_positive(self, result):
         assert result.findings["first_step_relative_jump"] > 0
+
+
+class TestTable4QuickKeepsExplicitGrid:
+    def test_quick_only_fills_unset_axes(self, tiny_setup):
+        # quick=True fills only the axes the caller left unset.
+        result = run_experiment(
+            "table4",
+            setup=tiny_setup,
+            quick=True,
+            mtbf_hours=(12.0,),
+            degrees=(1.0, 2.0),
+        )
+        assert [row[0] for row in result.rows] == ["12 hrs"]
+        assert result.headers == ["MTBF", "1.0x", "2.0x"]
+
+    def test_quick_default_degrees_with_explicit_mtbf(self, tiny_setup):
+        result = run_experiment(
+            "table4", setup=tiny_setup, quick=True, mtbf_hours=(30.0,)
+        )
+        assert result.headers == ["MTBF", "1.0x", "1.5x", "2.0x", "2.5x", "3.0x"]
+
+
+class TestTable5RejectsUnusableDegrees:
+    @pytest.mark.parametrize("degrees", [(1.0,), (2.0,), (1.5, 2.0), ()])
+    def test_rejected_before_any_cell_runs(self, tiny_setup, degrees):
+        # One degree has no step jump and a sweep without 1.0 no Eq. 1
+        # base time; both must fail before the sweep spends any time.
+        progress = []
+        with pytest.raises(ConfigurationError, match="1.0"):
+            run_experiment(
+                "table5", setup=tiny_setup, degrees=degrees,
+                progress=progress.append,
+            )
+        assert progress == []
+
+    def test_cli_reports_the_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "table5", "degrees=(1.0,)"]) == 2
+        assert "table5 needs at least two degrees" in capsys.readouterr().err
 
 
 class TestFig12Tiny:

@@ -1,8 +1,9 @@
 """Tests for the vectorized combined-model grid (models/grid.py).
 
-The core property: for any single configuration, the NumPy path is
-equivalent to ``CombinedModel.evaluate()`` to within 1e-9 relative
-error (divergence maps to ``inf`` on both sides).
+The grid runs the same Eqs. 1-15 code as ``CombinedModel.evaluate()``,
+so the core property is exact: every field of every cell has the same
+bits as the scalar answer, with ``inf`` and ``nan`` in the same cells
+(a divergent configuration maps to ``inf`` total time).
 """
 
 import math
@@ -13,12 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ModelDivergence
 from repro.models import CombinedModel, PAPER_REDUNDANCY_GRID
+from repro.models.checkpointing import daly_interval, young_interval
 from repro.models.grid import evaluate_grid, evaluate_model_grid, total_time_grid
-from repro.models.redundancy import redundant_time, system_failure_rate
-
-RELATIVE_TOLERANCE = 1e-9
+from repro.models.redundancy import (
+    partition_processes,
+    redundant_time,
+    system_failure_rate,
+    system_mtbf,
+    system_reliability,
+)
 
 
 def reference_model(**overrides):
@@ -35,32 +41,60 @@ def reference_model(**overrides):
     return CombinedModel(**params)
 
 
-#: One ULP at 1.0 — the machine epsilon for float64.
-EPSILON = math.ulp(1.0)
+def same_bits(actual, expected) -> bool:
+    """Equal as float64 bit patterns (so ``-0.0 != 0.0`` and nan == nan)."""
+    return float(actual).hex() == float(expected).hex()
 
-#: Safety factor on the conditioning-derived error bounds below.
-CONDITION_SAFETY = 4.0
+
+def scalar_fields(model: CombinedModel) -> dict:
+    """The :class:`ModelGrid` fields of one model, via the scalar API.
+
+    ``evaluate()`` answers every field when the model converges.  When
+    it diverges, the fields up to Eq. 10 come from the public scalar
+    functions, the interval from the rule clamped to ``t_Red`` (``nan``
+    where the rate is infinite), and the total time is ``inf``.
+    """
+    t_red = redundant_time(model.base_time, model.alpha, model.redundancy)
+    args = (model.virtual_processes, model.redundancy, t_red, model.node_mtbf)
+    exact = model.exact_reliability
+    mtbf = system_mtbf(*args, exact=exact)
+    if model.checkpoint_interval is not None:
+        interval = model.checkpoint_interval
+    elif mtbf == 0.0:
+        interval = math.nan
+    else:
+        rule = young_interval if model.interval_rule == "young" else daly_interval
+        interval = min(rule(model.checkpoint_cost, mtbf), t_red)
+    fields = {
+        "redundant_time": t_red,
+        "total_processes": partition_processes(
+            model.virtual_processes, model.redundancy
+        ).total_processes,
+        "system_reliability": system_reliability(*args, exact=exact),
+        "failure_rate": system_failure_rate(*args, exact=exact),
+        "system_mtbf": mtbf,
+        "checkpoint_interval": interval,
+        "total_time": math.inf,
+    }
+    try:
+        result = model.evaluate()
+    except ModelDivergence:
+        return fields
+    evaluated = {name: getattr(result, name) for name in fields}
+    # The public functions and the pipeline agree bit for bit too.
+    for name in fields.keys() - {"total_time"}:
+        assert same_bits(evaluated[name], fields[name]), name
+    return evaluated
+
+
+def assert_cell_matches(grid, index, model: CombinedModel):
+    for name, expected in scalar_fields(model).items():
+        actual = getattr(grid, name)[index]
+        assert same_bits(actual, expected), (name, actual, expected)
 
 
 def assert_equivalent(model: CombinedModel):
-    """Scalar evaluate() and one-cell evaluate_grid agree to 1e-9.
-
-    The flat 1e-9 bound holds wherever the model is well-conditioned.
-    Two regimes of Eqs. 10-14 amplify even a one-ULP disagreement in a
-    transcendental (``np.log1p`` vs ``math.log1p`` differ in the last
-    ULP) beyond any fixed tolerance, so the bound is widened by the
-    conditioning the scalar result itself reports:
-
-    * near-reliable systems (``|ln R_sys| << 1``): Eq. 10 recovers the
-      failure rate through an ``exp``/``log`` round trip at ``R_sys ~ 1``,
-      quantizing ``ln R_sys`` to ULP(1.0) — the rate (and the Daly
-      interval with it) is only determined to ``~eps/|ln R_sys|``
-      relative;
-    * near-divergent systems (``loss -> 1``): the Eq. 14 fixed point
-      ``T = useful/(1 - loss)`` amplifies a relative perturbation of the
-      loss fraction by ``loss/(1 - loss)``.
-    """
-    scalar = model.total_time_or_inf()
+    """A one-cell ``evaluate_grid`` equals the scalar model exactly."""
     grid = evaluate_grid(
         model.virtual_processes,
         model.redundancy,
@@ -73,89 +107,54 @@ def assert_equivalent(model: CombinedModel):
         checkpoint_interval=model.checkpoint_interval,
         exact_reliability=model.exact_reliability,
     )
-    vector = float(grid.total_time)
-    if math.isinf(scalar) or math.isinf(vector):
-        if math.isinf(scalar) != math.isinf(vector):
-            # Knife-edge divergence: when the Eq. 14 loss fraction lands
-            # within an ULP of 1.0, the scalar and vector
-            # transcendentals can disagree on ``loss >= 1`` — one side
-            # reports divergence, the other an astronomically large
-            # finite time.  The fixed point ``useful / (1 - loss)`` is
-            # infinitely ill-conditioned there, so accept the split
-            # provided the finite side is beyond any physically
-            # meaningful time (i.e. its loss is within ULP slack of 1).
-            finite = vector if math.isinf(scalar) else scalar
-            t_red = redundant_time(model.base_time, model.alpha, model.redundancy)
-            assert finite >= t_red / (1024.0 * EPSILON), (scalar, vector)
-        return
-    result = model.evaluate()
-    # Achievable relative agreement on the failure rate (regime 1).
-    log_exposure = result.failure_rate * result.redundant_time  # |ln R_sys|
-    if math.isfinite(result.failure_rate) and log_exposure > 0.0:
-        rate_error = CONDITION_SAFETY * EPSILON * (1.0 + 1.0 / log_exposure)
-    else:
-        rate_error = 0.0
-    # How the rate error reaches total_time: through the lost-work share
-    # (amplified by loss/(1-loss), regime 2) and the checkpoint share.
-    live_share = result.breakdown.work + result.breakdown.checkpoint
-    loss_ratio = (1.0 - live_share) / live_share if live_share > 0.0 else math.inf
-    total_tolerance = RELATIVE_TOLERANCE + rate_error * (
-        loss_ratio + result.breakdown.checkpoint
-    )
-    rate_tolerance = max(RELATIVE_TOLERANCE, rate_error)
-    assert vector == pytest.approx(scalar, rel=total_tolerance)
-    # Non-divergent cells also agree on the intermediate quantities.
-    assert float(grid.redundant_time) == pytest.approx(
-        result.redundant_time, rel=RELATIVE_TOLERANCE
-    )
-    assert float(grid.total_processes) == result.partition.total_processes
-    assert float(grid.checkpoint_interval) == pytest.approx(
-        result.checkpoint_interval, rel=rate_tolerance
-    )
-    if math.isfinite(result.failure_rate):
-        # At the failure-free boundary one path's rate can underflow to
-        # exactly 0.0 while the other keeps an ULP-sized residue: Eq. 10
-        # recovers the rate as -ln(R_sys)/t_Red and ln R_sys at
-        # R_sys ~ 1 is only determined to ULP(1.0), i.e. the rate to
-        # ~eps/t_Red absolute.  Since the interval clamp (see
-        # CombinedModel.evaluate) makes total_time continuous across
-        # that boundary, the rates only need to agree to the quantum.
-        rate_quantum = CONDITION_SAFETY * EPSILON / result.redundant_time
-        assert float(grid.failure_rate) == pytest.approx(
-            result.failure_rate, rel=rate_tolerance, abs=rate_quantum
-        )
+    assert_cell_matches(grid, (), model)
+
+
+#: One random configuration, in CombinedModel's field order.
+configurations = st.tuples(
+    st.integers(min_value=1, max_value=5_000_000),
+    st.one_of(
+        st.floats(min_value=1.0, max_value=3.0),
+        st.sampled_from(PAPER_REDUNDANCY_GRID),
+    ),
+    st.floats(min_value=1e3, max_value=1e9),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1.0, max_value=1e6),
+    st.floats(min_value=0.1, max_value=5e3),
+    st.floats(min_value=0.0, max_value=5e3),
+)
 
 
 class TestScalarEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(
-        n=st.integers(min_value=1, max_value=5_000_000),
-        r=st.one_of(
-            st.floats(min_value=1.0, max_value=3.0),
-            st.sampled_from(PAPER_REDUNDANCY_GRID),
-        ),
-        theta=st.floats(min_value=1e3, max_value=1e9),
-        alpha=st.floats(min_value=0.0, max_value=1.0),
-        t=st.floats(min_value=1.0, max_value=1e6),
-        c=st.floats(min_value=0.1, max_value=5e3),
-        rc=st.floats(min_value=0.0, max_value=5e3),
+        config=configurations,
         rule=st.sampled_from(("daly", "young")),
         exact=st.booleans(),
     )
-    def test_randomized_configurations(self, n, r, theta, alpha, t, c, rc, rule, exact):
+    def test_randomized_configurations(self, config, rule, exact):
         assert_equivalent(
-            CombinedModel(
-                virtual_processes=n,
-                redundancy=r,
-                node_mtbf=theta,
-                alpha=alpha,
-                base_time=t,
-                checkpoint_cost=c,
-                restart_cost=rc,
-                interval_rule=rule,
-                exact_reliability=exact,
-            )
+            CombinedModel(*config, interval_rule=rule, exact_reliability=exact)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        configs=st.lists(configurations, min_size=1, max_size=12),
+        rule=st.sampled_from(("daly", "young")),
+        exact=st.booleans(),
+    )
+    def test_every_cell_of_a_mixed_grid(self, configs, rule, exact):
+        # One grid holding many configurations at once: its cells mix
+        # replication levels, divergent and failure-free cells, and each
+        # must still equal its own scalar evaluation.
+        columns = [np.array(column, dtype=np.float64) for column in zip(*configs)]
+        grid = evaluate_grid(*columns, interval_rule=rule, exact_reliability=exact)
+        for index, config in enumerate(configs):
+            assert_cell_matches(
+                grid,
+                index,
+                CombinedModel(*config, interval_rule=rule, exact_reliability=exact),
+            )
 
     def test_paper_reference_point(self):
         assert_equivalent(reference_model(redundancy=2.0))
@@ -171,14 +170,13 @@ class TestScalarEquivalence:
 
 
 class TestFailureFreeBoundary:
-    """The scalar/grid discontinuity at the rate-underflow boundary.
+    """Continuity at the rate-underflow boundary.
 
     When the linearised system failure rate underflows to exactly 0.0
-    the scalar path takes the failure-free branch (``delta = t_Red``)
-    while an ULP-nonzero rate used to select a huge Daly interval; the
-    two paths then disagreed by exactly one checkpoint cost.  The fix
-    clamps the derived interval to ``min(rule_delta, t_Red)`` in both
-    paths, which converges continuously to the failure-free branch.
+    the model takes the failure-free interval ``delta = t_Red``; an
+    ULP-nonzero rate gives a huge Daly interval.  Clamping the rule
+    interval to ``min(rule_delta, t_Red)`` makes the two sides agree,
+    so ``T_total`` has no jump of one checkpoint cost there.
     """
 
     #: The hypothesis falsifying example that exposed the bug (pinned
@@ -269,8 +267,8 @@ class TestFailureFreeBoundary:
         # The grid path agrees with the scalar on both sides.
         thetas = np.array([theta_lo, theta_hi])
         grid = evaluate_grid(n, r, thetas, alpha, t, c, rc, interval_rule=rule)
-        assert float(grid.total_time[0]) == pytest.approx(below, rel=1e-9)
-        assert float(grid.total_time[1]) == pytest.approx(above, rel=1e-9)
+        assert same_bits(grid.total_time[0], below)
+        assert same_bits(grid.total_time[1], above)
 
     def test_grid_continuous_across_dense_theta_sweep(self):
         # A dense sweep spanning the pinned example's boundary: adjacent
@@ -363,17 +361,13 @@ class TestGridSemantics:
         times = total_time_grid(model, processes=np.asarray(counts, dtype=float))
         for count, vector_time in zip(counts, times):
             scalar_time = model.with_processes(count).total_time_or_inf()
-            assert float(vector_time) == pytest.approx(
-                scalar_time, rel=RELATIVE_TOLERANCE
-            )
+            assert same_bits(vector_time, scalar_time)
 
     def test_expected_checkpoints_property(self):
         model = reference_model(redundancy=2.0)
         grid = evaluate_model_grid(model)
         result = model.evaluate()
-        assert float(grid.expected_checkpoints) == pytest.approx(
-            result.expected_checkpoints, rel=RELATIVE_TOLERANCE
-        )
+        assert same_bits(grid.expected_checkpoints, result.expected_checkpoints)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigurationError):

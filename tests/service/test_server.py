@@ -1,13 +1,23 @@
 """End-to-end service tests over real sockets (ServerThread + client)."""
 
+import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.models import CombinedModel, recommend
 from repro.service import ServeClient, ServerThread
-from repro.service.server import parse_model
+from repro.service.server import MAX_BODY_BYTES, parse_model
 from repro.store import ResultsStore
 
 
@@ -145,6 +155,84 @@ class TestGracefulDrain:
         with pytest.raises(OSError):
             with ServeClient(port=runner.port, timeout=1.0) as c:
                 c.healthz()
+
+
+def raw_exchange(port: int, head: bytes) -> tuple:
+    """Send raw request bytes; return (status, JSON body, closed after)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(head)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    head_text, _, body = received.partition(b"\r\n\r\n")
+    status = int(head_text.split()[1])
+    return status, json.loads(body), b"Connection: close" in head_text
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["abc", "-5", "1e3", "12abc"])
+    def test_unparsable_length_gets_json_400(self, server, value):
+        status, body, closed = raw_exchange(
+            server.port,
+            f"POST /evaluate HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode(),
+        )
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert closed
+
+    def test_oversized_length_gets_413_without_reading_the_body(self, server):
+        # No body bytes are sent at all: the server must answer from the
+        # header alone instead of waiting for a body that never comes.
+        status, body, closed = raw_exchange(
+            server.port,
+            f"POST /evaluate HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}"
+            "\r\n\r\n".encode(),
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert closed
+
+    def test_server_still_serves_after_rejections(self, client):
+        assert client.healthz()["status"] == "ok"
+
+
+class TestEarlySigterm:
+    def test_sigterm_right_after_ready_line_drains(self):
+        # The SIGTERM handler must be in place before the ready line is
+        # printed, or a signal right after it kills the process (-15).
+        env = dict(os.environ)
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        command = [
+            sys.executable, "-c",
+            "from repro.cli import main; "
+            "raise SystemExit(main(['serve', '--port', '0']))",
+        ]
+        servers = [
+            subprocess.Popen(
+                command, env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            )
+            for _ in range(6)
+        ]
+        try:
+            for proc in servers:
+                assert re.search(r":(\d+) ", proc.stdout.readline())
+                proc.send_signal(signal.SIGTERM)
+            for proc in servers:
+                out, _ = proc.communicate(timeout=30)
+                assert proc.returncode == 0, out
+                assert "drained:" in out, out
+        finally:
+            for proc in servers:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
 
 
 class TestParseModel:
