@@ -4,7 +4,8 @@ The paper's harness runs a checkpointer that computes the optimal
 interval from Eqs. 15 and 10, arms a timer, and checkpoints the whole
 application when it fires.  Here the timer decision is made collectively
 at workload step boundaries (application-level checkpointing): every
-rank contributes "is the interval up?" to a logical-OR allreduce, so
+virtual rank contributes "is the interval up?" — one verdict, decided
+by the first of its replicas to arrive — to a logical-OR allreduce, so
 all replicas of all virtual ranks agree on *whether* call ``k``
 checkpoints — the coordination itself costs messages, which is part of
 the measured overhead, as in the real system.
@@ -161,6 +162,8 @@ class CheckpointService:
         self.checkpoint_write_failures = 0
         self._coordinator = BookmarkCoordinator(runtime, config.quiesce_poll)
         self._forked_writes = {}
+        #: (virtual rank, step) -> [verdict, replicas yet to read it].
+        self._sphere_verdicts = {}
         #: Forked sets whose background write ultimately failed.
         self._failed_forked = set()
 
@@ -190,11 +193,32 @@ class CheckpointService:
         just-finished step index.  Returns True when a checkpoint was
         taken at this boundary.
         """
-        verdict = yield from comm.allreduce(int(self.due()), ops.LOR)
+        verdict = yield from comm.allreduce(self._sphere_due(comm, step), ops.LOR)
         if not verdict:
             return False
         yield from self.take_checkpoint(comm, workload, step)
         return True
+
+    def _sphere_due(self, comm, step: int) -> int:
+        """One verdict on :meth:`due` per virtual rank and step.
+
+        Replicas of a virtual rank reach a step boundary at slightly
+        different simulated times.  Were each to read its own clock, two
+        could straddle the interval edge and send 0 and 1 into the LOR
+        allreduce: copies that disagree with no majority.  So the first
+        replica to arrive decides for its sphere; the entry is dropped
+        once every replica alive at that moment has read it.
+        """
+        key = (comm.rank, step)
+        entry = self._sphere_verdicts.get(key)
+        if entry is None:
+            tracker = getattr(comm, "tracker", None)
+            readers = len(tracker.alive_replicas(comm.rank)) if tracker else 1
+            entry = self._sphere_verdicts[key] = [int(self.due()), readers]
+        entry[1] -= 1
+        if entry[1] == 0:
+            del self._sphere_verdicts[key]
+        return entry[0]
 
     def take_checkpoint(self, comm, workload, step: int):
         """Generator: the full coordinated-checkpoint path (steps 2-5)."""

@@ -58,23 +58,27 @@ def payload_digest(payload: Any) -> int:
 
     Used by the redundancy layer's Msg-PlusHash mode and by its
     corrupt-message voting: two replicas sending "the same" message
-    must produce equal digests.  numpy arrays hash their raw buffer;
-    everything else is pickled canonically.
+    must produce equal digests.  numpy arrays hash their raw C-order
+    bytes, then their dtype and shape strings; everything else is
+    pickled canonically.
     """
-    if isinstance(payload, np.ndarray):
-        data = payload.tobytes() + str(payload.dtype).encode() + str(payload.shape).encode()
-    elif isinstance(payload, (bytes, bytearray, memoryview)):
-        data = bytes(payload)
-    elif isinstance(payload, str):
-        data = payload.encode("utf-8")
-    elif payload is None or isinstance(payload, (bool, int, float)):
-        data = repr(payload).encode("utf-8")
-    else:
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     # blake2b runs at C speed and is deterministic across runs/platforms.
-    return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8).digest(), byteorder="little"
-    )
+    hasher = hashlib.blake2b(digest_size=8)
+    if isinstance(payload, np.ndarray):
+        # A C-contiguous array is hashed in place through its buffer;
+        # only other layouts pay for a C-order copy.
+        hasher.update(payload if payload.flags.c_contiguous else payload.tobytes())
+        hasher.update(str(payload.dtype).encode())
+        hasher.update(str(payload.shape).encode())
+    elif isinstance(payload, (bytes, bytearray, memoryview)):
+        hasher.update(bytes(payload))
+    elif isinstance(payload, str):
+        hasher.update(payload.encode("utf-8"))
+    elif payload is None or isinstance(payload, (bool, int, float)):
+        hasher.update(repr(payload).encode("utf-8"))
+    else:
+        hasher.update(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    return int.from_bytes(hasher.digest(), byteorder="little")
 
 
 #: Size of a digest message in Msg-PlusHash mode.

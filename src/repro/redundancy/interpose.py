@@ -24,7 +24,7 @@ control messages use ``[2^28, ...)`` (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import RedundancyError
 from ..mpi.comm import USER_TAG_LIMIT, CollectiveAPI
@@ -255,6 +255,9 @@ class RedComm(CollectiveAPI):
         plan = plan_copies(my_sphere, dest_replicas, self.mode)
         request_set = RedRequest(self, kind="send", virtual_peer=dest, tag=tag)
         self.runtime.counters.add("app_sends")
+        # id(shipped) -> (shipped, digest): one hash per distinct shipped
+        # object; holding the object keeps its id from being reused.
+        digests: Dict[int, Tuple[Any, int]] = {}
         for receiver in dest_replicas:
             shipped = payload
             if self.corruptor is not None:
@@ -263,8 +266,10 @@ class RedComm(CollectiveAPI):
             if what == "full":
                 member = self._world.isend(shipped, receiver, tag, _internal=True)
             else:
+                if id(shipped) not in digests:
+                    digests[id(shipped)] = (shipped, payload_digest(shipped))
                 member = self._world.isend(
-                    payload_digest(shipped), receiver, tag + HASH_TAG_OFFSET,
+                    digests[id(shipped)][1], receiver, tag + HASH_TAG_OFFSET,
                     _internal=True,
                 )
             request_set.add_member(member, self.physical_rank, what)

@@ -8,13 +8,21 @@ RedMPI's headline safety feature: because every receiver gets the
 Two operating modes, as in the paper:
 
 * **All-to-all** (:data:`ALL_TO_ALL`): every sender replica ships the
-  complete message to every receiver replica.  Voting compares full
-  payload digests; the majority payload is delivered.
+  complete message to every receiver replica; the majority payload is
+  delivered.
 * **Msg-PlusHash** (:data:`MSG_PLUS_HASH`): one sender replica ships
   the complete message, the others ship a 64-bit digest.  Bandwidth
   drops from ``r`` full copies to one copy plus ``r - 1`` hashes; a
   mismatch between the message and the digests is detectable, and with
   ``r >= 3`` the faulty copy is identified by which digests agree.
+
+When a digest is computed: never for a single full copy, nor when every
+copy is full and equal to the first — the same object (the runtime
+passes payloads by reference) or an ndarray with the same dtype, shape
+and raw bytes.  Only when that check fails, or a digest-only copy must
+be matched against the carrier, does :func:`vote` tally digests, and
+each copy hashes its payload at most once.  A Msg-PlusHash receive
+therefore hashes one payload, not ``r``.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from __future__ import annotations
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import VotingError
 from ..mpi.datatypes import payload_digest
@@ -33,33 +43,61 @@ MSG_PLUS_HASH = "msg-plus-hash"
 MODES = (ALL_TO_ALL, MSG_PLUS_HASH)
 
 
-@dataclass(frozen=True)
 class ReplicaCopy:
     """One copy received from one sender replica.
 
-    ``payload`` is ``None`` for digest-only copies (Msg-PlusHash mode);
-    ``digest`` is always present.
+    ``payload`` is ``None`` for digest-only copies (Msg-PlusHash mode),
+    which carry their digest from the sender; a full copy hashes its
+    payload on first use of :attr:`digest`.
     """
 
-    sender_physical: int
-    digest: int
-    payload: Any = None
-    has_payload: bool = False
+    __slots__ = ("sender_physical", "payload", "has_payload", "_digest")
+
+    def __init__(
+        self,
+        sender_physical: int,
+        payload: Any = None,
+        has_payload: bool = False,
+        digest: Optional[int] = None,
+    ) -> None:
+        self.sender_physical = sender_physical
+        self.payload = payload
+        self.has_payload = has_payload
+        self._digest = digest
+
+    @property
+    def digest(self) -> int:
+        """The payload's digest, computed at most once."""
+        if self._digest is None:
+            self._digest = payload_digest(self.payload)
+        return self._digest
 
     @staticmethod
     def full(sender_physical: int, payload: Any) -> "ReplicaCopy":
         """A complete-message copy."""
-        return ReplicaCopy(
-            sender_physical=sender_physical,
-            digest=payload_digest(payload),
-            payload=payload,
-            has_payload=True,
-        )
+        return ReplicaCopy(sender_physical, payload, has_payload=True)
 
     @staticmethod
     def hash_only(sender_physical: int, digest: int) -> "ReplicaCopy":
         """A digest-only copy."""
-        return ReplicaCopy(sender_physical=sender_physical, digest=digest)
+        return ReplicaCopy(sender_physical, digest=digest)
+
+
+def _same_payload(first: Any, other: Any) -> bool:
+    """True when ``other`` provably digests like ``first`` — without hashing.
+
+    ``False`` only means "not shown equal here": the caller falls back
+    to comparing digests.
+    """
+    if other is first:
+        return True
+    return (
+        isinstance(first, np.ndarray)
+        and isinstance(other, np.ndarray)
+        and first.shape == other.shape
+        and str(first.dtype) == str(other.dtype)
+        and first.tobytes() == other.tobytes()
+    )
 
 
 @dataclass(frozen=True)
@@ -89,6 +127,12 @@ def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
     """
     if not copies:
         raise VotingError("no replica copies to vote on")
+    first = copies[0]
+    if first.has_payload and all(
+        copy.has_payload and _same_payload(first.payload, copy.payload)
+        for copy in copies[1:]
+    ):
+        return VoteResult(payload=first.payload, unanimous=True, corrupt_senders=())
     tally = _TallyCounter(copy.digest for copy in copies)
     majority_digest, majority_count = tally.most_common(1)[0]
     if len(tally) > 1 and majority_count <= len(copies) - majority_count:

@@ -10,6 +10,7 @@ from repro.checkpoint import (
 )
 from repro.errors import ConfigurationError, NoCheckpointError
 from repro.mpi import SimMPI
+from repro.redundancy import RedComm, ReplicaMap, SphereTracker
 from repro.simkit import Environment
 from repro.workloads import SyntheticWorkload, WorkShell
 
@@ -116,6 +117,55 @@ class TestCheckpointPath:
         assert env_forked.now <= env_sync.now
 
 
+class TestSphereVerdict:
+    """Replicas of one virtual rank share one "is the interval up?" verdict."""
+
+    @staticmethod
+    def run_straddling(arrivals):
+        """Virtual ranks 0 and 1 at r=2; replica ``i`` of a sphere reaches
+        its step boundary at ``arrivals[i]`` against an interval of 0.2."""
+        env = Environment()
+        rmap = ReplicaMap(2, 2.0)
+        tracker = SphereTracker(rmap)
+        world = SimMPI(env, size=rmap.total_physical)
+        storage = StableStorage(env)
+        service = CheckpointService(
+            world,
+            storage,
+            RestartManager(storage),
+            CheckpointConfig(interval=0.2, fixed_cost=0.0),
+        )
+        verdicts = {}
+
+        def program(ctx):
+            red = RedComm(ctx, rmap, tracker)
+            yield env.timeout(arrivals[red.replica_index])
+            taken = yield from service.at_step_boundary(red, _Stateless(), 0)
+            verdicts[ctx.rank] = taken
+
+        world.spawn(program)
+        world.run()
+        return verdicts, service, rmap
+
+    @pytest.mark.parametrize(
+        "arrivals, taken",
+        [
+            # Replica 0 arrives before the interval edge, replica 1 after
+            # it: each reading its own clock would send 0 and 1 into the
+            # LOR allreduce, and the vote would find no majority.
+            ((0.1, 0.3), False),
+            # The first to arrive decides, whatever its replica index.
+            ((0.3, 0.1), False),
+            ((0.3, 0.35), True),
+        ],
+    )
+    def test_first_replica_to_arrive_decides(self, arrivals, taken):
+        verdicts, service, rmap = self.run_straddling(arrivals)
+        assert verdicts == {rank: taken for rank in range(rmap.total_physical)}
+        assert service.checkpoints_taken == int(taken)
+        assert service._sphere_verdicts == {}
+
+
 class TestRestartManager:
     def test_read_state_roundtrip(self, env, run_process):
         storage = StableStorage(env)
@@ -145,6 +195,11 @@ class TestRestartManager:
         manager.note_commit("s", 1, now=0.0)
         states = manager.peek_states(range(3))
         assert states[2] == {"rank": 2}
+
+
+class _Stateless:
+    def state(self):
+        return {}
 
 
 def _image_bytes(state):

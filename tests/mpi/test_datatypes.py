@@ -79,3 +79,27 @@ class TestPayloadDigest:
     @given(st.binary(max_size=1024))
     def test_stable_for_bytes(self, blob):
         assert payload_digest(blob) == payload_digest(bytes(blob))
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            (np.arange(5, dtype=np.float64) * 0.5, 10895918511024069928),
+            (np.arange(6, dtype=np.int32).reshape(2, 3), 3210118794449344448),
+            (np.arange(10, dtype=np.float64)[::2], 5582144866695446636),
+            (np.array(3.25), 8457244299687221576),
+            (b"x", 5717441744405258058),
+            ("x", 5717441744405258058),
+            (42, 8820412187630416983),
+            (1.5, 3831814941423113338),
+            ((1, "a", 2.5), 9698836400011031511),
+        ],
+        ids=["float64", "int32-2x3", "strided", "0-d", "bytes", "str", "int", "float", "tuple"],
+    )
+    def test_wire_format_pinned(self, payload, expected):
+        # Msg-PlusHash ships digests and votes compare them: the encoding
+        # of each payload kind must not drift.
+        assert payload_digest(payload) == expected
+
+    def test_fortran_order_hashes_c_order_bytes(self):
+        fortran = np.asfortranarray(np.arange(6, dtype=np.int16).reshape(2, 3))
+        assert payload_digest(fortran) == payload_digest(np.ascontiguousarray(fortran))

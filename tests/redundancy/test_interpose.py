@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import RedundancyError, VotingError
 from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, ops
+from repro.mpi.datatypes import payload_digest
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedComm, ReplicaMap, SphereTracker
 from repro.simkit import Environment
 
@@ -250,6 +251,45 @@ class TestVotingIntegration:
         _, rmap, _, results = run_redundant(2, 2.0, body, corruptor=corruptor)
         for physical in rmap.replicas_of(1):
             assert results[physical] == "detected"
+
+
+class TestSenderDigests:
+    """Msg-PlusHash senders hash each distinct shipped object once."""
+
+    @staticmethod
+    def count_digests(monkeypatch, corruptor=None):
+        from repro.redundancy import interpose
+
+        calls = []
+
+        def counting(payload):
+            calls.append(payload)
+            return payload_digest(payload)
+
+        monkeypatch.setattr(interpose, "payload_digest", counting)
+
+        def body(red):
+            if red.rank == 0:
+                yield from red.send(b"payload", 1, tag=3)
+                return None
+            payload, _ = yield from red.recv(source=0, tag=3)
+            return payload
+
+        _, rmap, _, results = run_redundant(
+            2, 3.0, body, mode=MSG_PLUS_HASH, corruptor=corruptor
+        )
+        assert {results[p] for p in rmap.replicas_of(1)} == {b"payload"}
+        return calls
+
+    def test_one_digest_per_isend(self, monkeypatch):
+        # Three sender replicas, each shipping two digest copies.
+        assert len(self.count_digests(monkeypatch)) == 3
+
+    def test_one_digest_per_distinct_shipped_object(self, monkeypatch):
+        def fresh_copy(sender, receiver, payload):
+            return bytes(bytearray(payload))
+
+        assert len(self.count_digests(monkeypatch, fresh_copy)) == 6
 
 
 class TestReplicaDeath:
