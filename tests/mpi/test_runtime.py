@@ -1,9 +1,11 @@
 """Tests for the SimMPI runtime: lifecycle, liveness, accounting."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MPIError
 from repro.mpi import SimMPI
+from repro.mpi.datatypes import message_wire_size
 from repro.simkit import Environment
 
 
@@ -240,3 +242,180 @@ class TestSubCommunicators:
         comm = sub[2]
         assert comm.global_rank(0) == 2
         assert comm.local_rank_of(0) == 1
+
+
+def _busy(world, src, dst, payload):
+    """Sender-busy time the fabric charges for one message."""
+    nbytes = message_wire_size(payload)
+    return world.fabric.sender_busy_time(world.node_of(src), world.node_of(dst), nbytes)
+
+
+def _wire(world, src, dst):
+    return world.fabric.wire_latency(world.node_of(src), world.node_of(dst))
+
+
+def _stamp(env, log, key):
+    """Callback that records the clock when an event fires."""
+    return lambda _event: log.__setitem__(key, env.now)
+
+
+class TestInjection:
+    """The sender's NIC pushes one message at a time, in post order."""
+
+    PAYLOADS = [b"a" * 4_000, b"b" * 150_000, b"c" * 10, np.zeros(9_000)]
+
+    def _burst(self, world, completions, arrivals, start=1.0, kill=None):
+        """Rank 0 posts every payload to rank 1 at ``start``; rank 1
+        pre-posts one receive per tag.  ``kill`` (rank, time) fail-stops
+        a rank mid-burst."""
+        env = world.env
+
+        def program(ctx):
+            if ctx.rank == 1:
+                receives = [ctx.comm.irecv(source=0, tag=i) for i in range(len(self.PAYLOADS))]
+                for i, request in enumerate(receives):
+                    request.event.add_callback(_stamp(env, arrivals, i))
+                for request in receives:
+                    yield from request.wait()
+                return "received"
+            if ctx.rank == 0:
+                yield ctx.compute(start)
+                sends = [ctx.comm.isend(p, dest=1, tag=i) for i, p in enumerate(self.PAYLOADS)]
+                for i, request in enumerate(sends):
+                    request.event.add_callback(_stamp(env, completions, i))
+                for request in sends:
+                    yield from request.wait()
+                return "sent"
+            yield ctx.compute(0.0)
+
+        world.spawn(program)
+        if kill is not None:
+            rank, when = kill
+
+            def killer(env):
+                yield env.timeout(when)
+                world.kill_rank(rank)
+
+            env.process(killer(env))
+
+    def test_same_instant_sends_complete_back_to_back_in_post_order(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        completions, arrivals = {}, {}
+        self._burst(world, completions, arrivals)
+        world.run()
+        expected, clock = [], 1.0
+        for payload in self.PAYLOADS:
+            clock = clock + _busy(world, 0, 1, payload)
+            expected.append(clock)
+        assert [completions[i] for i in range(len(self.PAYLOADS))] == expected
+
+    def test_each_message_arrives_wire_latency_after_completion(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        completions, arrivals = {}, {}
+        self._burst(world, completions, arrivals)
+        world.run()
+        wire = _wire(world, 0, 1)
+        assert wire > 0
+        for i in range(len(self.PAYLOADS)):
+            assert arrivals[i] == completions[i] + wire
+        assert world.arrived_counts[(0, 1)] == len(self.PAYLOADS)
+
+    def test_senders_on_different_ranks_do_not_serialise(self):
+        env = Environment()
+        world = SimMPI(env, size=3)
+        payload = b"p" * 100_000
+        completions = {}
+
+        def program(ctx):
+            if ctx.rank == 2:
+                for _ in range(2):
+                    yield from ctx.comm.recv()
+                return
+            yield ctx.compute(2.0)
+            request = ctx.comm.isend(payload, dest=2)
+            request.event.add_callback(_stamp(env, completions, ctx.rank))
+            yield from request.wait()
+
+        world.spawn(program)
+        world.run()
+        assert completions == {
+            0: 2.0 + _busy(world, 0, 2, payload),
+            1: 2.0 + _busy(world, 1, 2, payload),
+        }
+        assert completions[0] == completions[1]
+
+    def test_destination_dying_while_queued_drops_once(self):
+        env = Environment()
+        world = SimMPI(env, size=3)
+        first, second = b"f" * 200_000, b"s" * 10
+        completions, arrivals = {}, {}
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield ctx.compute(1.0)
+                sends = [ctx.comm.isend(first, dest=2), ctx.comm.isend(second, dest=1)]
+                for i, request in enumerate(sends):
+                    request.event.add_callback(_stamp(env, completions, i))
+                for request in sends:
+                    yield from request.wait()
+                return "sent"
+            if ctx.rank == 2:
+                request = ctx.comm.irecv(source=0)
+                request.event.add_callback(_stamp(env, arrivals, 0))
+                yield from request.wait()
+                return
+            yield ctx.compute(100.0)
+
+        world.spawn(program)
+
+        def killer(env):
+            # Rank 1 dies while its message still waits behind ``first``.
+            yield env.timeout(1.0 + 0.5 * _busy(world, 0, 2, first))
+            world.kill_rank(1)
+
+        env.process(killer(env))
+        world.run()
+        assert world.result_of(0) == "sent"
+        done_first = 1.0 + _busy(world, 0, 2, first)
+        assert completions == {0: done_first, 1: done_first + _busy(world, 0, 1, second)}
+        assert arrivals == {0: done_first + _wire(world, 0, 2)}
+        assert world.counters["p2p_dropped"] == 1
+        assert world.sent_counts[(0, 1)] == 1
+        assert (0, 1) not in world.arrived_counts
+
+    def test_dead_senders_queued_sends_still_inject(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        completions, arrivals = {}, {}
+        self._burst(world, completions, arrivals, kill=(0, 1.0 + 1e-9))
+        world.run()
+        assert not world.is_alive(0)
+        assert world.result_of(1) == "received"
+        clock = 1.0
+        for i, payload in enumerate(self.PAYLOADS):
+            clock = clock + _busy(world, 0, 1, payload)
+            assert completions[i] == clock
+            assert arrivals[i] == clock + _wire(world, 0, 1)
+        assert world.arrived_counts[(0, 1)] == len(self.PAYLOADS)
+        assert "p2p_dropped" not in world.counters.as_dict()
+
+    def test_channels_quiet_once_queue_drains(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        completions, arrivals = {}, {}
+        self._burst(world, completions, arrivals)
+        world.run(until=1.0 + 0.5 * _busy(world, 0, 1, self.PAYLOADS[0]))
+        assert world.sent_counts[(0, 1)] == len(self.PAYLOADS)
+        assert not world.channels_quiet()
+        last = 1.0
+        for payload in self.PAYLOADS:
+            last = last + _busy(world, 0, 1, payload)
+        world.run(until=last)
+        assert len(completions) == len(self.PAYLOADS)
+        assert len(arrivals) == len(self.PAYLOADS) - 1
+        assert not world.channels_quiet()
+        world.run()
+        assert len(arrivals) == len(self.PAYLOADS)
+        assert world.channels_quiet()
