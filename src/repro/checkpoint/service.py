@@ -35,8 +35,9 @@ time-identical to the seed's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..errors import ConfigurationError, StorageWriteError
 from ..mpi import ops
@@ -148,7 +149,8 @@ class CheckpointService:
         self._union_started = 0.0
         self._union_span = None
         self.checkpoints_taken = 0
-        self.time_in_checkpoints = 0.0
+        #: Length of every rank's checkpoint window, in rank-exit order.
+        self.checkpoint_windows: List[float] = []
         #: Union of the per-rank checkpoint windows: the wallclock the
         #: application actually spent checkpointing.  (The per-rank
         #: windows overlap almost completely, so ``time_in_checkpoints``
@@ -166,6 +168,15 @@ class CheckpointService:
         self._sphere_verdicts = {}
         #: Forked sets whose background write ultimately failed.
         self._failed_forked = set()
+
+    @property
+    def time_in_checkpoints(self) -> float:
+        """Sum of the per-rank checkpoint windows.
+
+        Taken with :func:`math.fsum`, so it does not depend on the order
+        in which ranks that leave at the same simulated time run.
+        """
+        return math.fsum(self.checkpoint_windows)
 
     # -- injector interface ---------------------------------------------------
 
@@ -307,7 +318,7 @@ class CheckpointService:
             self._last_checkpoint = self.env.now
         finally:
             self._participants -= 1
-            self.time_in_checkpoints += self.env.now - started
+            self.checkpoint_windows.append(self.env.now - started)
             if self._participants == 0:
                 self.checkpoint_union_time += self.env.now - self._union_started
                 if self._union_span is not None:

@@ -1,5 +1,8 @@
 """Tests for the coordinated checkpoint service and restart manager."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.checkpoint import (
@@ -115,6 +118,35 @@ class TestCheckpointPath:
         env_sync, *_ = run_with_service(2, 15, synchronous, compute_seconds=0.05)
         env_forked, *_ = run_with_service(2, 15, forked, compute_seconds=0.05)
         assert env_forked.now <= env_sync.now
+
+
+class TestTimeInCheckpoints:
+    WINDOWS = [0.1, 0.2, 0.3, 0.7, 1e-3]
+
+    def test_sums_every_rank_window(self):
+        config = CheckpointConfig(interval=0.2, fixed_cost=0.01)
+        _, _, _, manager, service, _ = run_with_service(2, 20, config)
+        assert len(service.checkpoint_windows) == 2 * manager.commits
+        assert all(window >= 0.01 for window in service.checkpoint_windows)
+        assert service.time_in_checkpoints == math.fsum(service.checkpoint_windows)
+
+    def test_total_independent_of_rank_exit_order(self):
+        service = CheckpointService(
+            SimMPI(Environment(), size=1),
+            StableStorage(Environment()),
+            RestartManager(StableStorage(Environment())),
+            CheckpointConfig(interval=1.0),
+        )
+        totals, naive = set(), set()
+        for order in itertools.permutations(self.WINDOWS):
+            service.checkpoint_windows[:] = order
+            totals.add(service.time_in_checkpoints.hex())
+            running = 0.0
+            for window in order:
+                running += window
+            naive.add(running.hex())
+        assert totals == {math.fsum(self.WINDOWS).hex()}
+        assert len(naive) > 1  # a running sum would depend on the order
 
 
 class TestSphereVerdict:
