@@ -189,10 +189,6 @@ class Communicator(CollectiveAPI):
                 f"world rank {global_rank} not in communicator {self.name}"
             ) from exc
 
-    def peer_alive(self, local: int) -> bool:
-        """Liveness of a peer (used by the redundancy layer)."""
-        return self._runtime.is_alive(self.global_rank(local))
-
     # -- point to point ----------------------------------------------------
 
     def _check_tag(self, tag: int, internal: bool) -> None:

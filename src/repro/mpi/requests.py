@@ -30,7 +30,6 @@ class Request:
         "_event",
         "_status",
         "_consumed",
-        "_on_complete",
         "_source_map",
     )
 
@@ -40,7 +39,6 @@ class Request:
         event: Event,
         peer: int,
         tag: int,
-        on_complete: Optional[Callable[["Request"], None]] = None,
         source_map: Optional[Callable[[int], int]] = None,
     ) -> None:
         if kind not in (SEND, RECV):
@@ -51,7 +49,6 @@ class Request:
         self._event = event
         self._status: Optional[Status] = None
         self._consumed = False
-        self._on_complete = on_complete
         self._source_map = source_map
 
     @property
@@ -81,8 +78,6 @@ class Request:
                 source = self._source_map(source)
             self._status = Status(source=source, tag=envelope.tag, nbytes=envelope.nbytes)
             result = (envelope.payload, self._status)
-        if self._on_complete is not None:
-            self._on_complete(self)
         return result
 
     def wait(self):
@@ -108,9 +103,8 @@ class Request:
 def waitall(env, requests: List[Request]):
     """Generator: wait for every request; returns their values in order.
 
-    This is the primitive the redundancy layer's *request sets* build
-    on — one application-level ``MPI_Wait`` maps to ``waitall`` over
-    the per-replica requests (Section 3 of the paper).
+    Takes any handles with ``event`` and ``_finalize``: requests and
+    the redundancy layer's request sets alike.
     """
     if not requests:
         return []

@@ -126,6 +126,8 @@ class SimMPI:
         #: bookmark state the checkpoint coordinator equalises.
         self.sent_counts: Dict[tuple, int] = {}
         self.arrived_counts: Dict[tuple, int] = {}
+        #: (src, dst) -> messages sent but not yet arrived; no zeros.
+        self._in_flight: Dict[tuple, int] = {}
 
     # -- topology ----------------------------------------------------------
 
@@ -139,6 +141,11 @@ class SimMPI:
     def is_alive(self, rank: int) -> bool:
         """Fail-stop liveness of a rank."""
         return rank in self._alive
+
+    @property
+    def live_count(self) -> int:
+        """Number of live ranks (it only ever falls)."""
+        return len(self._alive)
 
     @property
     def alive_ranks(self) -> Set[int]:
@@ -208,6 +215,7 @@ class SimMPI:
         self.counters.add("p2p_bytes", nbytes)
         key = (src, dst)
         self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
+        self._in_flight[key] = self._in_flight.get(key, 0) + 1
         completion = Event(self.env)
         # First callback, so the NIC moves on before the sender resumes.
         completion.add_callback(
@@ -240,6 +248,9 @@ class SimMPI:
             return
         key = (envelope.source, envelope.dest)
         self.arrived_counts[key] = self.arrived_counts.get(key, 0) + 1
+        left = self._in_flight.pop(key) - 1
+        if left:
+            self._in_flight[key] = left
         self._engines[envelope.dest].deliver(envelope)
 
     def post_recv(self, rank: int, source: int, tag: int, cid: int) -> Event:
@@ -267,12 +278,10 @@ class SimMPI:
         protocol waits for before processes capture their images.
         Traffic to dead ranks is excluded (it was dropped).
         """
-        for (src, dst), sent in self.sent_counts.items():
-            if not self.is_alive(dst) or not self.is_alive(src):
-                continue
-            if self.arrived_counts.get((src, dst), 0) != sent:
-                return False
-        return True
+        alive = self._alive
+        return not any(
+            src in alive and dst in alive for src, dst in self._in_flight
+        )
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 ``RedComm`` exposes the same interface as
 :class:`repro.mpi.Communicator` but speaks in *virtual* ranks.  Under
-the hood every application call fans out to the physical replicas:
+the hood every application call fans out to the physical replicas,
+posted straight to the :class:`~repro.mpi.SimMPI` runtime:
 
 * ``isend(payload, dest)`` → one world send per live replica of the
   destination sphere (Figure 1(a)); in Msg-PlusHash mode all but the
@@ -10,7 +11,9 @@ the hood every application call fans out to the physical replicas:
 * ``irecv(source)`` → one world receive per live replica of the source
   sphere; the returned :class:`RedRequest` is the paper's *request
   set*: the application-level wait completes only when every member
-  request has completed (Section 3's MPI_Wait semantics);
+  (a raw runtime event) has completed (Section 3's MPI_Wait semantics);
+* routes (a peer sphere's live replicas, and which carries the full
+  payload) are cached per liveness epoch: until the next rank death;
 * arriving copies are compared/voted (:mod:`repro.redundancy.voting`);
 * receives pending on a replica that dies are cancelled, so surviving
   copies still complete the application-level request — this is how a
@@ -29,7 +32,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from ..errors import RedundancyError
 from ..mpi.comm import USER_TAG_LIMIT, CollectiveAPI
 from ..mpi.datatypes import payload_digest, payload_nbytes
-from ..mpi.requests import Request
 from ..mpi.status import ANY_SOURCE, ANY_TAG, Status
 from ..simkit.events import Event
 from .mapping import ReplicaMap
@@ -48,13 +50,17 @@ Corruptor = Callable[[int, int, Any], Any]
 
 
 class RedRequest:
-    """A request *set*: the application-level handle over replica requests.
+    """A request *set*: the application-level handle over replica operations.
 
-    Completes when every live member completes; members whose peer
-    replica dies are dropped from the set.  For receives, completion
-    triggers the vote and yields ``(payload, Status)`` with the
-    *virtual* source rank.
+    Members are raw runtime events (send completions, receive matches)
+    mapped to ``(peer physical rank, is_full)``.  The set completes when
+    every live member completes; members whose peer replica dies are
+    dropped.  Receive copies are kept in member completion order; the
+    vote then yields ``(payload, Status)`` with the *virtual* source.
     """
+
+    __slots__ = ("comm", "kind", "virtual_peer", "tag", "event",
+                 "_members", "_copies", "_consumed")
 
     def __init__(self, comm: "RedComm", kind: str, virtual_peer: int, tag: int) -> None:
         self.comm = comm
@@ -62,47 +68,36 @@ class RedRequest:
         self.virtual_peer = virtual_peer
         self.tag = tag
         self.event = Event(comm.env)
-        self._pending: Dict[int, Request] = {}  # id -> member request
-        self._sender_of: Dict[int, int] = {}
-        self._copy_kind: Dict[int, str] = {}
+        self._members: Dict[Event, Tuple[int, bool]] = {}
         self._copies: List[ReplicaCopy] = []
-        self._armed = False
         self._consumed = False
 
     # -- construction (layer-internal) -----------------------------------
 
-    def add_member(self, request: Request, sender_physical: int, copy_kind: str) -> None:
-        """Register one per-replica request into the set."""
-        key = id(request)
-        self._pending[key] = request
-        self._sender_of[key] = sender_physical
-        self._copy_kind[key] = copy_kind
-        request.event.add_callback(lambda _event, key=key: self._member_done(key))
+    def add_member(self, event: Event, peer_physical: int, is_full: bool) -> None:
+        """Register one per-replica runtime event into the set."""
+        self._members[event] = (peer_physical, is_full)
+        event.add_callback(self._member_done)
 
     def arm(self) -> None:
-        """All members registered; complete immediately if set is empty."""
-        self._armed = True
+        """All members registered; complete now if none are pending."""
         self._maybe_complete()
 
     # -- progress ----------------------------------------------------------
 
-    def _member_done(self, key: int) -> None:
-        request = self._pending.pop(key, None)
-        if request is None:
+    def _member_done(self, event: Event) -> None:
+        member = self._members.pop(event, None)
+        if member is None:
             return  # dropped by a death notification before arrival
         if self.kind == "recv":
-            envelope = request.event.value
-            sender = self._sender_of[key]
-            if self._copy_kind[key] == "full":
-                self._copies.append(ReplicaCopy.full(sender, envelope.payload))
-            else:
-                self._copies.append(
-                    ReplicaCopy.hash_only(sender, envelope.payload)
-                )
-        self._maybe_complete()
+            sender, is_full = member
+            copy = ReplicaCopy.full if is_full else ReplicaCopy.hash_only
+            self._copies.append(copy(sender, event.value.payload))
+        if not self._members:
+            self._maybe_complete()
 
     def _maybe_complete(self) -> None:
-        if not self._armed or self.event.triggered or self._pending:
+        if self.event.triggered or self._members:
             return
         if self.kind == "recv" and not self._copies:
             # Every source replica died before sending: the request can
@@ -112,20 +107,15 @@ class RedRequest:
         self.event.succeed(list(self._copies) if self.kind == "recv" else None)
 
     def drop_sender(self, dead_physical: int) -> None:
-        """A peer replica died: withdraw its still-pending member requests."""
+        """A peer replica died: withdraw its still-pending member receives."""
         if self.kind != "recv" or self.event.triggered:
             return
-        doomed = [
-            key
-            for key, sender in self._sender_of.items()
-            if sender == dead_physical and key in self._pending
-        ]
-        for key in doomed:
-            request = self._pending[key]
-            if request.event.triggered:
-                continue  # message already matched; let it finish
-            if self.comm.runtime.cancel_recv(self.comm.physical_rank, request.event):
-                del self._pending[key]
+        # A receive that already matched still delivers its copy.
+        doomed = [event for event, (sender, _) in self._members.items()
+                  if sender == dead_physical and not event.triggered]
+        for event in doomed:
+            if self.comm.runtime.cancel_recv(self.comm.physical_rank, event):
+                del self._members[event]
         self._maybe_complete()
 
     # -- application API -----------------------------------------------------
@@ -187,7 +177,11 @@ class RedComm(CollectiveAPI):
         self.mode = mode
         self.corruptor = corruptor
         self._virtual_rank = replica_map.virtual_of(ctx.rank)
+        self._cid = ctx.comm.cid
         self._coll_seq = 0
+        # (peer virtual rank, sending) -> route, while _epoch ranks live.
+        self._routes: Dict[Tuple[int, bool], Tuple[Tuple[int, bool], ...]] = {}
+        self._epoch = self.runtime.live_count
         self._active_recvs: List[RedRequest] = []
         self.runtime.on_rank_death(self._on_rank_death)
 
@@ -213,17 +207,35 @@ class RedComm(CollectiveAPI):
         """This process's position within its sphere (0 = primary)."""
         return self.replica_map.replica_index(self.physical_rank)
 
-    def peer_alive(self, virtual: int) -> bool:
-        """True while the peer sphere has at least one live replica."""
-        return bool(self.tracker.alive_replicas(virtual))
-
     def _alive_sphere(self, virtual: int) -> List[int]:
-        """Live replicas of a sphere, consulting both tracker and runtime."""
-        return [
-            rank
-            for rank in self.replica_map.replicas_of(virtual)
-            if not self.tracker.is_dead(rank) and self.runtime.is_alive(rank)
-        ]
+        """Live replicas of a sphere, primary first."""
+        alive = self.runtime.is_alive
+        return [rank for rank in self.replica_map.replicas_of(virtual) if alive(rank)]
+
+    def _route(self, virtual: int, sending: bool) -> Tuple[Tuple[int, bool], ...]:
+        """This rank's members toward sphere ``virtual``: ``(peer, is_full)``.
+
+        Plans cover *live* replicas on both ends so sender and receiver
+        agree on the Msg-PlusHash payload carrier even after deaths.  Only
+        ``SimMPI.kill_rank`` changes liveness (the sphere tracker hears of
+        deaths from it), so a route lives until the live-rank count moves.
+        """
+        if self.runtime.live_count != self._epoch:
+            self._epoch = self.runtime.live_count
+            self._routes = {}
+        route = self._routes.get((virtual, sending))
+        if route is None:
+            peers = self._alive_sphere(virtual)
+            mine = self._alive_sphere(self._virtual_rank)
+            senders, receivers = (mine, peers) if sending else (peers, mine)
+            plan = plan_copies(senders, receivers, self.mode)
+            me = self.physical_rank
+            route = tuple(
+                (peer, plan[(me, peer) if sending else (peer, me)] == "full")
+                for peer in peers
+            )
+            self._routes[(virtual, sending)] = route
+        return route
 
     # -- death plumbing -----------------------------------------------------
 
@@ -247,32 +259,24 @@ class RedComm(CollectiveAPI):
     def isend(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False) -> RedRequest:
         """Fan-out send to every live replica of virtual rank ``dest``."""
         self._check_tag(tag, _internal)
-        # Plans are computed over *live* replicas on both ends so sender
-        # and receiver agree on who carries the full payload in
-        # Msg-PlusHash mode even after replica deaths.
-        my_sphere = self._alive_sphere(self._virtual_rank)
-        dest_replicas = self._alive_sphere(dest)
-        plan = plan_copies(my_sphere, dest_replicas, self.mode)
         request_set = RedRequest(self, kind="send", virtual_peer=dest, tag=tag)
         self.runtime.counters.add("app_sends")
+        me = self.physical_rank
         # id(shipped) -> (shipped, digest): one hash per distinct shipped
         # object; holding the object keeps its id from being reused.
         digests: Dict[int, Tuple[Any, int]] = {}
-        for receiver in dest_replicas:
+        for receiver, is_full in self._route(dest, True):
             shipped = payload
             if self.corruptor is not None:
-                shipped = self.corruptor(self.physical_rank, receiver, payload)
-            what = plan[(self.physical_rank, receiver)]
-            if what == "full":
-                member = self._world.isend(shipped, receiver, tag, _internal=True)
-            else:
+                shipped = self.corruptor(me, receiver, payload)
+            if not is_full:
                 if id(shipped) not in digests:
                     digests[id(shipped)] = (shipped, payload_digest(shipped))
-                member = self._world.isend(
-                    digests[id(shipped)][1], receiver, tag + HASH_TAG_OFFSET,
-                    _internal=True,
-                )
-            request_set.add_member(member, self.physical_rank, what)
+                shipped = digests[id(shipped)][1]
+            member = self.runtime.post_send(
+                me, receiver, tag if is_full else tag + HASH_TAG_OFFSET, shipped, self._cid
+            )
+            request_set.add_member(member, receiver, is_full)
         request_set.arm()
         return request_set
 
@@ -301,22 +305,18 @@ class RedComm(CollectiveAPI):
         already_have: Optional[ReplicaCopy] = None,
         skip_sender: Optional[int] = None,
     ) -> RedRequest:
-        source_replicas = self._alive_sphere(source)
-        my_sphere = self._alive_sphere(self._virtual_rank)
-        plan = plan_copies(source_replicas, my_sphere, self.mode)
         request_set = RedRequest(self, kind="recv", virtual_peer=source, tag=tag)
         if already_have is not None:
             request_set._copies.append(already_have)
         self.runtime.counters.add("app_recvs")
-        for sender in source_replicas:
+        me = self.physical_rank
+        for sender, is_full in self._route(source, False):
             if sender == skip_sender:
                 continue
-            what = plan[(sender, self.physical_rank)]
-            if what == "full":
-                member = self._world.irecv(sender, tag)
-            else:
-                member = self._world.irecv(sender, tag + HASH_TAG_OFFSET)
-            request_set.add_member(member, sender, what)
+            member = self.runtime.post_recv(
+                me, sender, tag if is_full else tag + HASH_TAG_OFFSET, self._cid
+            )
+            request_set.add_member(member, sender, is_full)
         request_set.arm()
         if len(self._active_recvs) > 64:
             self._active_recvs = [

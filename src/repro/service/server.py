@@ -64,6 +64,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -71,6 +72,9 @@ _REASONS = {
 #: Largest request body accepted; a bigger ``Content-Length`` is
 #: answered 413 before a single body byte is read.
 MAX_BODY_BYTES = 1 << 20
+
+#: Most header lines a request may carry; one more is answered 431.
+MAX_HEADER_LINES = 100
 
 
 class _HttpError(Exception):
@@ -307,10 +311,16 @@ class ModelServer:
             return None
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             header = await reader.readline()
             if header in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADER_LINES:
+                raise _HttpError(
+                    431, f"more than {MAX_HEADER_LINES} header lines"
+                )
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         text = headers.get("content-length", "0") or "0"

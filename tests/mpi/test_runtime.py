@@ -419,3 +419,29 @@ class TestInjection:
         world.run()
         assert len(arrivals) == len(self.PAYLOADS)
         assert world.channels_quiet()
+
+    def test_message_to_rank_dying_in_flight_leaves_channels_quiet(self):
+        env = Environment()
+        world = SimMPI(env, size=3)
+        doomed, live = b"d" * 4_000, b"l" * 150_000
+
+        def program(ctx):
+            if ctx.rank == 0:
+                sends = [ctx.comm.isend(doomed, dest=1), ctx.comm.isend(live, dest=2)]
+                yield from ctx.comm.waitall(sends)
+            elif ctx.rank == 2:
+                yield from ctx.comm.recv(source=0)
+            else:
+                yield ctx.compute(100.0)
+
+        world.spawn(program)
+        on_wire = _busy(world, 0, 1, doomed) + 0.5 * _wire(world, 0, 1)
+        world.run(until=on_wire)
+        world.kill_rank(1)  # its message is on the wire, still to arrive
+        assert not world.channels_quiet()  # (0, 2) is live and in flight
+        world.run()
+        assert world.counters["p2p_dropped"] == 1
+        assert world.sent_counts[(0, 1)] == 1
+        assert (0, 1) not in world.arrived_counts
+        assert world.arrived_counts[(0, 2)] == 1
+        assert world.channels_quiet()

@@ -6,6 +6,8 @@ from repro.errors import RedundancyError, VotingError
 from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, ops
 from repro.mpi.datatypes import payload_digest
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedComm, ReplicaMap, SphereTracker
+from repro.redundancy.interpose import HASH_TAG_OFFSET
+from repro.redundancy.voting import plan_copies
 from repro.simkit import Environment
 
 
@@ -290,6 +292,120 @@ class TestSenderDigests:
             return bytes(bytearray(payload))
 
         assert len(self.count_digests(monkeypatch, fresh_copy)) == 6
+
+
+class TestRouteCache:
+    """Routes to a peer sphere are computed once per liveness epoch."""
+
+    @staticmethod
+    def record_posts(monkeypatch):
+        """Log every runtime send ``(src, dst, tag)`` and receive
+        ``(rank, source, tag)``."""
+        sends, recvs = [], []
+        post_send, post_recv = SimMPI.post_send, SimMPI.post_recv
+
+        def logging_send(world, src, dst, tag, payload, cid):
+            sends.append((src, dst, tag))
+            return post_send(world, src, dst, tag, payload, cid)
+
+        def logging_recv(world, rank, source, tag, cid):
+            recvs.append((rank, source, tag))
+            return post_recv(world, rank, source, tag, cid)
+
+        monkeypatch.setattr(SimMPI, "post_send", logging_send)
+        monkeypatch.setattr(SimMPI, "post_recv", logging_recv)
+        return sends, recvs
+
+    @staticmethod
+    def two_messages(red):
+        """Virtual 0 sends tag 1, then tag 2 a simulated second later."""
+        if red.rank == 0:
+            yield from red.send("one", 1, tag=1)
+            yield red.env.timeout(1.0)
+            yield from red.send("two", 1, tag=2)
+            return None
+        first, _ = yield from red.recv(source=0, tag=1)
+        yield red.env.timeout(1.0)
+        second, _ = yield from red.recv(source=0, tag=2)
+        return first, second
+
+    def test_death_between_sends_reroutes_to_survivors(self, monkeypatch):
+        sends, recvs = self.record_posts(monkeypatch)
+        rmap = ReplicaMap(2, 3.0)
+        senders, receivers = rmap.replicas_of(0), rmap.replicas_of(1)
+        _, _, tracker, results = run_redundant(
+            2, 3.0, self.two_messages, kill_plan=[(0.5, senders[1]), (0.5, receivers[2])]
+        )
+        assert not tracker.job_failed
+        live_senders = [senders[0], senders[2]]
+        live_receivers = receivers[:2]
+        assert {(s, d) for s, d, tag in sends if tag == 1} == {
+            (s, d) for s in senders for d in receivers
+        }
+        assert sorted((s, d) for s, d, tag in sends if tag == 2) == sorted(
+            (s, d) for s in live_senders for d in live_receivers
+        )
+        assert sorted((r, s) for r, s, tag in recvs if tag == 2) == sorted(
+            (r, s) for r in live_receivers for s in live_senders
+        )
+        for physical in live_receivers:
+            assert results[physical] == ("one", "two")
+
+    def test_msg_plus_hash_carrier_reassigned_after_death(self, monkeypatch):
+        sends, recvs = self.record_posts(monkeypatch)
+        rmap = ReplicaMap(2, 3.0)
+        senders, receivers = rmap.replicas_of(0), rmap.replicas_of(1)
+        _, _, _, results = run_redundant(
+            2, 3.0, self.two_messages, mode=MSG_PLUS_HASH, kill_plan=[(0.5, senders[0])]
+        )
+        hashed = 2 + HASH_TAG_OFFSET
+        # Receiver j takes the payload from live sender j mod 2.
+        carriers = {(senders[1], receivers[0]), (senders[2], receivers[1]),
+                    (senders[1], receivers[2])}
+        plan = plan_copies(senders[1:], receivers, MSG_PLUS_HASH)
+        assert carriers == {pair for pair, what in plan.items() if what == "full"}
+        assert {(s, d) for s, d, tag in sends if tag == 2} == carriers
+        assert {(s, d) for s, d, tag in sends if tag == hashed} == set(plan) - carriers
+        assert {(s, r) for r, s, tag in recvs if tag == 2} == carriers
+        assert {(s, r) for r, s, tag in recvs if tag == hashed} == set(plan) - carriers
+        for physical in receivers:
+            assert results[physical] == ("one", "two")
+
+    def test_stream_computes_each_route_once(self, monkeypatch):
+        from repro.redundancy import interpose
+
+        plans, spheres = [], []
+        alive_sphere = RedComm._alive_sphere
+
+        def counting_plan(sender_replicas, receiver_replicas, mode):
+            plans.append((tuple(sender_replicas), tuple(receiver_replicas)))
+            return plan_copies(sender_replicas, receiver_replicas, mode)
+
+        def counting_sphere(red, virtual):
+            spheres.append((red.physical_rank, virtual))
+            return alive_sphere(red, virtual)
+
+        monkeypatch.setattr(interpose, "plan_copies", counting_plan)
+        monkeypatch.setattr(RedComm, "_alive_sphere", counting_sphere)
+
+        def body(red):
+            if red.rank == 0:
+                sends = [red.isend(i, 1, tag=i) for i in range(100)]
+                yield from red.waitall(sends)
+                return None
+            receives = [red.irecv(0, tag=i) for i in range(100)]
+            results = yield from red.waitall(receives)
+            return [payload for payload, _status in results]
+
+        _, rmap, _, results = run_redundant(2, 2.0, body)
+        senders, receivers = rmap.replicas_of(0), rmap.replicas_of(1)
+        for physical in receivers:
+            assert results[physical] == list(range(100))
+        # One route per physical rank: its peer sphere, one direction.
+        assert sorted(plans) == [(tuple(senders), tuple(receivers))] * 4
+        assert sorted(spheres) == sorted(
+            [(p, 0) for p in senders + receivers] + [(p, 1) for p in senders + receivers]
+        )
 
 
 class TestReplicaDeath:

@@ -17,7 +17,7 @@ import repro
 from repro.errors import ConfigurationError, ServiceError
 from repro.models import CombinedModel, recommend
 from repro.service import ServeClient, ServerThread
-from repro.service.server import MAX_BODY_BYTES, parse_model
+from repro.service.server import MAX_BODY_BYTES, MAX_HEADER_LINES, parse_model
 from repro.store import ResultsStore
 
 
@@ -170,6 +170,29 @@ def raw_exchange(port: int, head: bytes) -> tuple:
     head_text, _, body = received.partition(b"\r\n\r\n")
     status = int(head_text.split()[1])
     return status, json.loads(body), b"Connection: close" in head_text
+
+
+class TestHeaderLines:
+    def test_too_many_header_lines_get_431(self, server):
+        # One line past the cap, all with one name: only a count of
+        # lines, not of distinct names, catches it.  No blank line ends
+        # the headers, so the server must answer without reading on.
+        status, body, closed = raw_exchange(
+            server.port,
+            b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * (MAX_HEADER_LINES + 1),
+        )
+        assert status == 431
+        assert str(MAX_HEADER_LINES) in body["error"]
+        assert closed
+
+    def test_header_lines_at_the_cap_are_served(self, server):
+        status, body, _closed = raw_exchange(
+            server.port,
+            b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * (MAX_HEADER_LINES - 1)
+            + b"Connection: close\r\n\r\n",
+        )
+        assert status == 200
+        assert body["status"] == "ok"
 
 
 class TestContentLength:
