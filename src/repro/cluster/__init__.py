@@ -7,23 +7,18 @@ readily available to replace failed ones.
 * :mod:`node` — one failure-independent execution unit;
 * :mod:`machine` — the cluster: node inventory, failure bookkeeping,
   spare replacement;
-* :mod:`allocation` — rank→node placement policies (one-rank-per-node
-  per the paper, packed, and replica-exclusive variants).
+* :mod:`allocation` — rank→node placement policies (one rank per node
+  per the paper, and packed).
 """
 
 from .node import Node, NodeState
 from .machine import Machine
-from .allocation import (
-    packed_placement,
-    replica_exclusive_placement,
-    spread_placement,
-)
+from .allocation import packed_placement, spread_placement
 
 __all__ = [
     "Machine",
     "Node",
     "NodeState",
     "packed_placement",
-    "replica_exclusive_placement",
     "spread_placement",
 ]

@@ -2,19 +2,14 @@
 
 The paper's model assumption 2: every physical process gets its *own*
 node, so redundancy never slows computation down.  That is
-:func:`spread_placement`.  Two alternatives are provided for ablation:
-
-* :func:`packed_placement` — fill each node's cores before moving on
-  (how Ferreira et al.'s study doubles processes up on the same nodes);
-* :func:`replica_exclusive_placement` — pack ranks, but guarantee that
-  no two replicas of the same virtual process share a node (otherwise
-  one node failure could take out a whole sphere and redundancy would
-  be pointless).
+:func:`spread_placement`.  :func:`packed_placement` is the ablation's
+alternative: fill each node's cores before moving on (how Ferreira et
+al.'s study doubles processes up on the same nodes).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..errors import AllocationError, ConfigurationError
 from .machine import Machine
@@ -49,51 +44,3 @@ def packed_placement(machine: Machine, rank_count: int) -> Dict[int, int]:
     nodes = _healthy_nodes(machine, needed_nodes)
     return {rank: nodes[rank // per_node] for rank in range(rank_count)}
 
-
-def replica_exclusive_placement(
-    machine: Machine,
-    replica_groups: Sequence[Sequence[int]],
-) -> Dict[int, int]:
-    """Packed placement that keeps each replica group on distinct nodes.
-
-    Parameters
-    ----------
-    replica_groups:
-        One sequence of physical ranks per virtual process (the
-        "sphere").  Ranks within a group land on pairwise-distinct
-        nodes; across groups, cores are packed greedily.
-
-    Raises
-    ------
-    AllocationError
-        When a group is wider than the number of healthy nodes.
-    """
-    rank_count = sum(len(group) for group in replica_groups)
-    if rank_count == 0:
-        raise ConfigurationError("replica_groups must contain at least one rank")
-    per_node = machine.cores_per_node
-    node_indices = _healthy_nodes(machine, 1)
-    free_cores = {index: per_node for index in node_indices}
-    placement: Dict[int, int] = {}
-    for group in replica_groups:
-        if len(group) > len(node_indices):
-            raise AllocationError(
-                f"replica group of size {len(group)} exceeds "
-                f"{len(node_indices)} healthy nodes"
-            )
-        used_here = set()
-        for rank in group:
-            chosen = None
-            for index in node_indices:
-                if index in used_here or free_cores[index] == 0:
-                    continue
-                chosen = index
-                break
-            if chosen is None:
-                raise AllocationError(
-                    "not enough free cores for replica-exclusive placement"
-                )
-            placement[rank] = chosen
-            free_cores[chosen] -= 1
-            used_here.add(chosen)
-    return placement

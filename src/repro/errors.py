@@ -49,10 +49,6 @@ class ProcessInterrupted(SimulationError):
         self.cause = cause
 
 
-class StopProcess(SimulationError):
-    """Internal signal used to tear down a simulated process."""
-
-
 # --------------------------------------------------------------------------
 # Cluster / machine model
 # --------------------------------------------------------------------------
@@ -79,17 +75,6 @@ class MPIError(ReproError):
     """Base class for simulated-MPI errors."""
 
 
-class RankFailedError(MPIError):
-    """A communication peer (or the caller itself) is dead."""
-
-    def __init__(self, rank: int, detail: str = "") -> None:
-        msg = f"rank {rank} has failed"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
-        self.rank = rank
-
-
 class CommunicatorError(MPIError):
     """Invalid communicator usage (bad rank, finalized world, ...)."""
 
@@ -105,19 +90,6 @@ class RequestError(MPIError):
 
 class RedundancyError(ReproError):
     """Base class for redundancy-layer errors."""
-
-
-class SphereExhaustedError(RedundancyError):
-    """Every physical replica of a virtual process has failed.
-
-    This is the condition that forces a job-level rollback: the virtual
-    process can no longer make progress (Section 5, Figure 7 of the
-    paper).
-    """
-
-    def __init__(self, virtual_rank: int) -> None:
-        super().__init__(f"all replicas of virtual rank {virtual_rank} failed")
-        self.virtual_rank = virtual_rank
 
 
 class VotingError(RedundancyError):
@@ -157,10 +129,6 @@ class StorageWriteError(TransientStorageError):
 
 class StorageReadError(TransientStorageError):
     """A stable-storage read was rejected by the fault model."""
-
-
-class CoordinationError(CheckpointError):
-    """The coordinated-checkpoint protocol could not quiesce channels."""
 
 
 # --------------------------------------------------------------------------

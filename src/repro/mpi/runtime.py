@@ -27,7 +27,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tu
 from ..cluster import Machine, spread_placement
 from ..errors import CommunicatorError, MPIError
 from ..netsim import Fabric
-from ..simkit import Counter, Environment
+from ..obs.metrics import CounterBag
+from ..simkit import Environment
 from ..simkit.events import AllOf, Event
 from ..simkit.process import Process
 from .comm import Communicator
@@ -103,7 +104,7 @@ class SimMPI:
         if set(self.placement) < set(range(size)):
             raise MPIError("placement must cover every rank")
         self.compute_scale = compute_scale
-        self.counters = Counter()
+        self.counters = CounterBag()
         self._engines: Dict[int, MatchingEngine] = {
             rank: MatchingEngine(rank) for rank in range(size)
         }
@@ -122,11 +123,8 @@ class SimMPI:
         self._next_cid = WORLD_CID + 1
         self._send_seq = 0
         self._death_watchers: List[Callable[[int], None]] = []
-        #: Per-(src, dst) sent and consumed message counts — the
-        #: bookmark state the checkpoint coordinator equalises.
-        self.sent_counts: Dict[tuple, int] = {}
-        self.arrived_counts: Dict[tuple, int] = {}
         #: (src, dst) -> messages sent but not yet arrived; no zeros.
+        #: The bookmark state the checkpoint coordinator waits to drain.
         self._in_flight: Dict[tuple, int] = {}
 
     # -- topology ----------------------------------------------------------
@@ -214,7 +212,6 @@ class SimMPI:
         self.counters.add("p2p_messages")
         self.counters.add("p2p_bytes", nbytes)
         key = (src, dst)
-        self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
         self._in_flight[key] = self._in_flight.get(key, 0) + 1
         completion = Event(self.env)
         # First callback, so the NIC moves on before the sender resumes.
@@ -247,7 +244,6 @@ class SimMPI:
             self.counters.add("p2p_dropped")
             return
         key = (envelope.source, envelope.dest)
-        self.arrived_counts[key] = self.arrived_counts.get(key, 0) + 1
         left = self._in_flight.pop(key) - 1
         if left:
             self._in_flight[key] = left
@@ -320,7 +316,7 @@ class SimMPI:
             watcher(rank)
 
     def on_rank_death(self, watcher: Callable[[int], None]) -> None:
-        """Register a callback for rank deaths (detector, spheres)."""
+        """Register a callback for rank deaths (the redundancy spheres)."""
         self._death_watchers.append(watcher)
 
     def run(self, until: Optional[float] = None) -> None:

@@ -1,24 +1,19 @@
 """netsim — interconnect timing model for the simulated cluster.
 
 Provides the message-transfer cost model the simulated MPI runtime uses
-to charge wallclock time to communication.  Three pieces:
+to charge wallclock time to communication.  Two pieces:
 
 * :mod:`latency` — the alpha-beta (latency + bandwidth) transfer model;
-* :mod:`topology` — who is "close" to whom (same node vs. across the
-  fabric), with hop-dependent latency;
-* :mod:`fabric` — the delivery engine: given source node, destination
-  node and message size, produce the arrival delay (optionally with
-  deterministic jitter).
+* :mod:`fabric` — the delivery engine on a flat crossbar (one hop
+  between nodes, a cheap loopback within one): given source node,
+  destination node and message size, produce the arrival delay
+  (optionally with deterministic jitter).
 """
 
 from .latency import AlphaBetaModel
-from .topology import FlatTopology, Topology, TwoLevelTopology
 from .fabric import Fabric
 
 __all__ = [
     "AlphaBetaModel",
     "Fabric",
-    "FlatTopology",
-    "Topology",
-    "TwoLevelTopology",
 ]

@@ -17,7 +17,10 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .latency import AlphaBetaModel
-from .topology import FlatTopology, Topology
+
+#: Latency multiplier between ranks on one node (shared-memory
+#: transport); ranks on different nodes are one fabric hop apart.
+_LOOPBACK = 0.1
 
 
 class Fabric:
@@ -26,10 +29,9 @@ class Fabric:
     Parameters
     ----------
     model:
-        Base :class:`AlphaBetaModel`; the per-hop latency is the model
-        latency times the topology distance.
-    topology:
-        Node-distance model (defaults to a flat crossbar).
+        Base :class:`AlphaBetaModel`.  Every pair of nodes is one hop
+        apart (a flat crossbar); a message within one node pays a tenth
+        of the model latency.
     jitter:
         Coefficient of variation of a lognormal noise factor applied to
         every delay (0 disables noise).
@@ -40,7 +42,6 @@ class Fabric:
     def __init__(
         self,
         model: Optional[AlphaBetaModel] = None,
-        topology: Optional[Topology] = None,
         jitter: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -49,7 +50,6 @@ class Fabric:
         if jitter > 0 and rng is None:
             raise ConfigurationError("jitter > 0 requires an rng")
         self.model = model or AlphaBetaModel()
-        self.topology = topology or FlatTopology()
         self.jitter = jitter
         self._rng = rng
         if jitter > 0:
@@ -64,13 +64,13 @@ class Fabric:
 
     def delivery_delay(self, src_node: int, dst_node: int, nbytes: int) -> float:
         """Seconds until an ``nbytes`` message from src arrives at dst."""
-        hops = self.topology.distance(src_node, dst_node)
+        hops = _LOOPBACK if src_node == dst_node else 1.0
         base = self.model.latency * hops + nbytes / self.model.bandwidth
         return base * self._noise()
 
     def wire_latency(self, src_node: int, dst_node: int) -> float:
         """Pure propagation time after the sender finished injecting."""
-        hops = self.topology.distance(src_node, dst_node)
+        hops = _LOOPBACK if src_node == dst_node else 1.0
         return self.model.latency * hops * self._noise()
 
     def sender_busy_time(self, src_node: int, dst_node: int, nbytes: int) -> float:

@@ -22,7 +22,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    TimeSeries,
 )
 from .report import (
     JobPhases,
@@ -54,7 +53,6 @@ __all__ = [
     "ObsSession",
     "RunManifest",
     "Span",
-    "TimeSeries",
     "TraceReport",
     "TraceSession",
     "Tracer",

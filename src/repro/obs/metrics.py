@@ -1,10 +1,10 @@
 """Metrics primitives: counters, gauges, fixed-bucket histograms.
 
-:class:`MetricsRegistry` is the structured successor of the bare
-``simkit.monitor`` TimeSeries/Counter pair (which now delegates here):
-named metrics with a snapshot/merge protocol so per-worker registries
-from a parallel campaign fold into one, and a text rendering for the
-CLI's ``--metrics`` flag.
+:class:`MetricsRegistry` holds named metrics with a snapshot/merge
+protocol, so per-worker registries from a parallel campaign fold into
+one, and a text rendering for the CLI's ``--metrics`` flag.
+:class:`CounterBag` is the bare dict-of-floats the MPI runtime counts
+messages and bytes in.
 
 Histograms use fixed bucket bounds (Prometheus-style ``le`` semantics:
 an observation lands in the first bucket whose upper bound is >= the
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -27,7 +27,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "TimeSeries",
 ]
 
 #: Default histogram bounds: 1-2.5-5 per decade over 1 us .. 1e6 s —
@@ -207,48 +206,11 @@ class MetricsRegistry:
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
 
-# -- substrate primitives (absorbed from simkit.monitor) --------------------
-
-
-class TimeSeries:
-    """Records (time, value) samples of one quantity.
-
-    The substrate behind :class:`repro.simkit.Monitor`, which stamps
-    samples with its environment's clock.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.samples: List[Tuple[float, float]] = []
-
-    def sample(self, time: float, value: float) -> None:
-        """Append one (time, value) sample."""
-        self.samples.append((float(time), float(value)))
-
-    @property
-    def values(self) -> List[float]:
-        """Just the sampled values, in time order."""
-        return [value for _time, value in self.samples]
-
-    def mean(self) -> float:
-        """Arithmetic mean of the samples (0.0 when empty)."""
-        if not self.samples:
-            return 0.0
-        return sum(self.values) / len(self.samples)
-
-    def total(self) -> float:
-        """Sum of the samples."""
-        return sum(self.values)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 class CounterBag:
     """A named bag of monotonically increasing counters.
 
-    The substrate behind :class:`repro.simkit.Counter`; kept as a plain
-    dict-of-floats because the MPI runtime hammers it on the hot path.
+    Kept as a plain dict-of-floats because the MPI runtime hammers it on
+    the hot path.
     """
 
     def __init__(self) -> None:

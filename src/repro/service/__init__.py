@@ -13,13 +13,9 @@ The subsystem turns the analytic model into a long-lived endpoint:
 ``client``
     :class:`ServeClient` — blocking keep-alive client mapping server
     errors back to local exception types.
-``bench``
-    :func:`run_bench` — the ``bench-serve`` load generator with exact
-    latency percentiles and a served-vs-scalar bit-identity probe.
 """
 
 from .batching import MicroBatcher, model_to_dict, validate_model
-from .bench import ServerThread, run_bench
 from .client import ServeClient
 from .server import ModelServer, parse_model, recommendation_to_dict
 
@@ -27,10 +23,8 @@ __all__ = [
     "MicroBatcher",
     "ModelServer",
     "ServeClient",
-    "ServerThread",
     "model_to_dict",
     "parse_model",
     "recommendation_to_dict",
-    "run_bench",
     "validate_model",
 ]

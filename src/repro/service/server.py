@@ -76,6 +76,14 @@ MAX_BODY_BYTES = 1 << 20
 #: Most header lines a request may carry; one more is answered 431.
 MAX_HEADER_LINES = 100
 
+#: Longest request or header line (the stream reader's buffer limit);
+#: a longer request line is answered 400, a longer header line 431.
+MAX_LINE_BYTES = 1 << 16
+
+#: Seconds a connection may take to send a whole request; a connection
+#: that sends nothing for this long is closed without a reply.
+READ_TIMEOUT_S = 30.0
+
 
 class _HttpError(Exception):
     """A request the parser rejects; the connection closes after the reply."""
@@ -203,6 +211,8 @@ class ModelServer:
         self.recommend_store_hits = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set = set()
+        #: Connections waiting for their next request (closed on drain).
+        self._reading: set = set()
         self._shutdown = asyncio.Event()
         self._stopping = False
 
@@ -212,7 +222,7 @@ class ModelServer:
         """Bind the socket and start the batcher; resolves ``port=0``."""
         await self.batcher.start()
         self._server = await asyncio.start_server(
-            self._client, host=self.host, port=self.port
+            self._client, host=self.host, port=self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -220,9 +230,9 @@ class ModelServer:
         """Graceful drain: refuse new work, answer admitted requests.
 
         Idempotent.  The listening socket closes first, then the
-        batcher drains (resolving every admitted future), then open
-        connections get a short grace period to flush their final
-        responses before being closed.
+        batcher drains (resolving every admitted future).  Connections
+        waiting for a request close at once; the others get a short
+        grace period to flush their final responses before being closed.
         """
         if self._stopping:
             return
@@ -232,6 +242,8 @@ class ModelServer:
             self._server.close()
             await self._server.wait_closed()
         await self.batcher.stop()
+        for writer in list(self._reading):
+            writer.close()
         for _ in range(200):  # <= ~2 s for handlers to write final bytes
             if not self._connections:
                 break
@@ -275,13 +287,20 @@ class ModelServer:
         self._connections.add(writer)
         try:
             while True:
+                self._reading.add(writer)
                 try:
-                    request = await self._read_request(reader)
+                    request = await asyncio.wait_for(
+                        self._read_request(reader), READ_TIMEOUT_S
+                    )
+                except asyncio.TimeoutError:
+                    break
                 except _HttpError as error:
                     self.metrics.counter("serve.bad_requests").inc()
                     payload = {"error": str(error), "error_type": "ConfigurationError"}
                     await self._respond(writer, error.status, payload, keep=False)
                     break
+                finally:
+                    self._reading.discard(writer)
                 if request is None:
                     break
                 method, path, headers, raw = request
@@ -303,7 +322,12 @@ class ModelServer:
 
     @staticmethod
     async def _read_request(reader):
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError as error:  # over the stream's line limit
+            raise _HttpError(
+                400, f"request line exceeds {MAX_LINE_BYTES} bytes"
+            ) from error
         if not line:
             return None
         parts = line.decode("latin-1").split()
@@ -313,7 +337,12 @@ class ModelServer:
         headers: Dict[str, str] = {}
         lines = 0
         while True:
-            header = await reader.readline()
+            try:
+                header = await reader.readline()
+            except ValueError as error:
+                raise _HttpError(
+                    431, f"header line exceeds {MAX_LINE_BYTES} bytes"
+                ) from error
             if header in (b"\r\n", b"\n", b""):
                 break
             lines += 1

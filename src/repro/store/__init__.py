@@ -13,9 +13,13 @@ waste.  :class:`ResultsStore` exploits this:
   ``JobReport``/``CombinedResult`` (and the advisor's
   ``Recommendation``);
 * :mod:`backend` — sharded on-disk storage with atomic writes,
-  CRC-verified reads and an in-process LRU;
-* :mod:`index` — an append-only key index with invalidate-by-version
-  (entries from older package versions are garbage-collected on open).
+  CRC-verified reads and an in-process LRU.
+
+Blobs live under ``root/objects/<version>/``, one directory per code
+version.  Keys are version-salted, so another version's entries can
+never be read; opening the store deletes every other entry under
+``objects/`` (older version directories and the flat shard layout of
+earlier releases).
 
 The campaign executor consults the store before running a cell and
 persists each completed cell as it finishes, so interrupted campaigns
@@ -31,9 +35,12 @@ Resolution order for the CLI: ``--store DIR`` > ``REPRO_STORE`` env >
 from __future__ import annotations
 
 import os
+import re
+import shutil
+from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..errors import CodecError, StoreError, UnkeyableError
+from ..errors import CodecError, ConfigurationError
 from ..orchestration.job import JobConfig, JobReport
 from .backend import DiskBackend
 from .codec import (
@@ -42,15 +49,13 @@ from .codec import (
     encode_payload,
     encode_report,
 )
-from .index import StoreIndex
-from .keys import CODE_VERSION, fingerprint, job_key, model_key
+from .keys import CODE_VERSION, fingerprint, job_key
 
 __all__ = [
     "DEFAULT_STORE_DIR",
     "STORE_ENV",
     "DiskBackend",
     "ResultsStore",
-    "StoreIndex",
     "resolve_store",
 ]
 
@@ -61,14 +66,18 @@ STORE_ENV = "REPRO_STORE"
 DEFAULT_STORE_DIR = ".repro-store"
 
 
+#: A version names a directory under ``objects/``: no separators, no dots first.
+_VERSION = re.compile(r"[0-9A-Za-z][0-9A-Za-z._+-]*\Z")
+
+
 class ResultsStore:
-    """Facade tying keys + codec + backend + index together.
+    """Facade tying keys + codec + backend together.
 
     Parameters
     ----------
     root:
         Store directory (created if missing).  Payload files live under
-        ``root/objects``, the index at ``root/index.jsonl``.
+        ``root/objects/<version>``.
     lru_capacity:
         In-process LRU entries fronting the disk (0 disables).
     version:
@@ -83,28 +92,31 @@ class ResultsStore:
         version: Optional[str] = None,
     ) -> None:
         self.version = CODE_VERSION if version is None else str(version)
-        self.index = StoreIndex(root)
-        self.backend = DiskBackend(
-            self.index.root / "objects", lru_capacity=lru_capacity
-        )
-        #: Entries from older code versions dropped on open.
+        if not _VERSION.match(self.version):
+            raise ConfigurationError(
+                f"store version {self.version!r} is not a plain directory name"
+            )
+        #: The store's root directory.
+        self.root = Path(root)
+        objects = self.root / "objects"
+        objects.mkdir(parents=True, exist_ok=True)
+        #: Blob files of other code versions deleted on open.
         self.invalidated = 0
-        stale = self.index.stale_keys(self.version)
-        for key in stale:
-            self.backend.delete(key)
-            self.index.record_delete(key)
-        if stale:
-            self.invalidated = len(stale)
-            self.index.compact()
+        for entry in objects.iterdir():
+            if entry.name == self.version:
+                continue
+            if entry.is_dir():
+                self.invalidated += sum(1 for _ in entry.rglob("*.json"))
+                shutil.rmtree(entry, ignore_errors=True)
+            else:
+                entry.unlink()
+        # The key index kept by earlier releases.
+        (self.root / "index.jsonl").unlink(missing_ok=True)
+        self.backend = DiskBackend(objects / self.version, lru_capacity=lru_capacity)
         #: Logical hit/miss counters (one per get_* call).
         self.hits = 0
         self.misses = 0
         self.writes = 0
-
-    @property
-    def root(self):
-        """The store's root directory (a ``pathlib.Path``)."""
-        return self.index.root
 
     # -- job reports --------------------------------------------------------
 
@@ -126,7 +138,6 @@ class ResultsStore:
             report = decode_report(payload)
         except CodecError:
             self.backend.delete(key)
-            self.index.record_delete(key)
             self.misses += 1
             return None
         self.hits += 1
@@ -136,7 +147,6 @@ class ResultsStore:
         """Persist one completed cell's report under its config key."""
         key = job_key(config, version=self.version)
         self.backend.put(key, encode_report(report))
-        self.index.record_put(key, "job", self.version)
         self.writes += 1
 
     # -- arbitrary memoized objects (serving layer) -------------------------
@@ -152,7 +162,6 @@ class ResultsStore:
             obj = decode_payload(payload)
         except CodecError:
             self.backend.delete(key)
-            self.index.record_delete(key)
             self.misses += 1
             return None
         self.hits += 1
@@ -162,7 +171,6 @@ class ResultsStore:
         """Memoize ``obj`` under ``(kind, params)``."""
         key = fingerprint(kind, params, version=self.version)
         self.backend.put(key, encode_payload(obj))
-        self.index.record_put(key, kind, self.version)
         self.writes += 1
 
     # -- stats --------------------------------------------------------------
@@ -173,6 +181,9 @@ class ResultsStore:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
+    def _entries(self) -> int:
+        return sum(1 for _ in self.backend.iter_keys())
+
     def stats(self) -> Dict[str, Any]:
         """Logical counters plus the backend's tiered counters."""
         return {
@@ -181,7 +192,7 @@ class ResultsStore:
             "writes": self.writes,
             "hit_ratio": self.hit_ratio,
             "invalidated": self.invalidated,
-            "entries": len(self.index),
+            "entries": self._entries(),
             "version": self.version,
             "backend": self.backend.stats(),
         }
@@ -190,7 +201,7 @@ class ResultsStore:
         """One-line human summary (the CLI epilogue)."""
         return (
             f"store: {self.hits} hits, {self.misses} misses, "
-            f"{self.writes} writes ({len(self.index)} entries at {self.root})"
+            f"{self.writes} writes ({self._entries()} entries at {self.root})"
         )
 
 

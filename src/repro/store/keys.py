@@ -20,9 +20,9 @@ canonical form here delivers all three:
 
 The final key is the SHA-256 of the canonical JSON of
 ``{kind, schema, version, payload}`` — so bumping the package version
-(or the key schema) invalidates every previously stored entry, which
-:class:`~repro.store.index.StoreIndex` exploits to garbage-collect
-stale results.
+(or the key schema) invalidates every previously stored entry; the
+store keeps each version's blobs in their own directory and deletes
+the other versions' directories on open.
 
 What is *excluded*: :class:`~repro.orchestration.job.JobConfig`'s
 ``trace_dir``/``trace_label`` fields.  Tracing never touches the

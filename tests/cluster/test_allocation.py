@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import (
-    Machine,
-    packed_placement,
-    replica_exclusive_placement,
-    spread_placement,
-)
+from repro.cluster import Machine, packed_placement, spread_placement
 from repro.errors import AllocationError, ConfigurationError
 
 
@@ -50,37 +45,3 @@ class TestPacked:
         placement = packed_placement(machine, ranks)
         assert set(placement) == set(range(ranks))
 
-
-class TestReplicaExclusive:
-    def test_replicas_on_distinct_nodes(self):
-        machine = Machine(node_count=4, cores_per_node=16)
-        groups = [[0, 1], [2, 3], [4]]
-        placement = replica_exclusive_placement(machine, groups)
-        for group in groups:
-            nodes = [placement[rank] for rank in group]
-            assert len(set(nodes)) == len(nodes)
-
-    def test_group_wider_than_machine_rejected(self):
-        machine = Machine(node_count=2)
-        with pytest.raises(AllocationError):
-            replica_exclusive_placement(machine, [[0, 1, 2]])
-
-    def test_core_exhaustion_detected(self):
-        machine = Machine(node_count=2, cores_per_node=1)
-        with pytest.raises(AllocationError):
-            replica_exclusive_placement(machine, [[0, 1], [2, 3]])
-
-    def test_empty_groups_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replica_exclusive_placement(Machine(node_count=2), [])
-
-    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3))
-    def test_all_ranks_placed(self, virtuals, replicas):
-        machine = Machine(node_count=8, cores_per_node=16)
-        rank = 0
-        groups = []
-        for _ in range(virtuals):
-            groups.append(list(range(rank, rank + replicas)))
-            rank += replicas
-        placement = replica_exclusive_placement(machine, groups)
-        assert set(placement) == set(range(rank))

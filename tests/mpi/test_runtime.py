@@ -320,7 +320,7 @@ class TestInjection:
         assert wire > 0
         for i in range(len(self.PAYLOADS)):
             assert arrivals[i] == completions[i] + wire
-        assert world.arrived_counts[(0, 1)] == len(self.PAYLOADS)
+        assert world._in_flight == {}  # every message arrived
 
     def test_senders_on_different_ranks_do_not_serialise(self):
         env = Environment()
@@ -382,8 +382,8 @@ class TestInjection:
         assert completions == {0: done_first, 1: done_first + _busy(world, 0, 1, second)}
         assert arrivals == {0: done_first + _wire(world, 0, 2)}
         assert world.counters["p2p_dropped"] == 1
-        assert world.sent_counts[(0, 1)] == 1
-        assert (0, 1) not in world.arrived_counts
+        assert world.counters["p2p_messages"] == 2
+        assert world._in_flight == {(0, 1): 1}  # sent once, never arrived
 
     def test_dead_senders_queued_sends_still_inject(self):
         env = Environment()
@@ -398,7 +398,7 @@ class TestInjection:
             clock = clock + _busy(world, 0, 1, payload)
             assert completions[i] == clock
             assert arrivals[i] == clock + _wire(world, 0, 1)
-        assert world.arrived_counts[(0, 1)] == len(self.PAYLOADS)
+        assert world._in_flight == {}  # every message arrived
         assert "p2p_dropped" not in world.counters.as_dict()
 
     def test_channels_quiet_once_queue_drains(self):
@@ -407,7 +407,7 @@ class TestInjection:
         completions, arrivals = {}, {}
         self._burst(world, completions, arrivals)
         world.run(until=1.0 + 0.5 * _busy(world, 0, 1, self.PAYLOADS[0]))
-        assert world.sent_counts[(0, 1)] == len(self.PAYLOADS)
+        assert world._in_flight == {(0, 1): len(self.PAYLOADS)}
         assert not world.channels_quiet()
         last = 1.0
         for payload in self.PAYLOADS:
@@ -441,7 +441,7 @@ class TestInjection:
         assert not world.channels_quiet()  # (0, 2) is live and in flight
         world.run()
         assert world.counters["p2p_dropped"] == 1
-        assert world.sent_counts[(0, 1)] == 1
-        assert (0, 1) not in world.arrived_counts
-        assert world.arrived_counts[(0, 2)] == 1
+        assert world.counters["p2p_messages"] == 2
+        # (0, 1) was sent once and never arrived; (0, 2) arrived.
+        assert world._in_flight == {(0, 1): 1}
         assert world.channels_quiet()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.netsim import AlphaBetaModel, Fabric, FlatTopology, TwoLevelTopology
+from repro.netsim import AlphaBetaModel, Fabric
 
 
 class TestDeterministicFabric:
@@ -13,15 +13,17 @@ class TestDeterministicFabric:
         assert fabric.delivery_delay(0, 1, 1000) == pytest.approx(1e-6 + 1e-6)
 
     def test_loopback_cheaper(self):
-        fabric = Fabric(topology=FlatTopology(loopback=0.1))
+        fabric = Fabric()
         assert fabric.delivery_delay(2, 2, 0) < fabric.delivery_delay(2, 3, 0)
 
-    def test_wire_latency_scales_with_hops(self):
-        fabric = Fabric(
-            model=AlphaBetaModel(latency=1e-6),
-            topology=TwoLevelTopology(nodes_per_switch=2, spine_hops=3.0),
-        )
-        assert fabric.wire_latency(0, 2) == pytest.approx(3e-6)
+    def test_loopback(self):
+        fabric = Fabric(model=AlphaBetaModel(latency=1e-6))
+        assert fabric.wire_latency(3, 3) == 1e-6 * 0.1
+
+    def test_one_hop_everywhere(self):
+        fabric = Fabric(model=AlphaBetaModel(latency=1e-6))
+        assert fabric.wire_latency(0, 99) == 1e-6
+        assert fabric.wire_latency(0, 1) == fabric.wire_latency(7, 2)
 
     def test_sender_busy_includes_cpu_overhead(self):
         model = AlphaBetaModel(latency=1e-6, bandwidth=1e9, cpu_overhead=5e-7)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import DEFAULT_BUCKETS, CounterBag, MetricsRegistry, TimeSeries
+from repro.obs import DEFAULT_BUCKETS, CounterBag, MetricsRegistry
 from repro.obs.metrics import Histogram
 
 
@@ -116,22 +116,32 @@ class TestRender:
         assert "histogram empty: empty" in text
 
 
-class TestTimeSeries:
-    def test_samples_and_stats(self):
-        series = TimeSeries("queue")
-        series.sample(0.0, 1)
-        series.sample(1.0, 3)
-        assert series.samples == [(0.0, 1.0), (1.0, 3.0)]
-        assert series.values == [1.0, 3.0]
-        assert series.mean() == 2.0
-        assert series.total() == 4.0
-        assert len(series) == 2
-
-    def test_empty_mean(self):
-        assert TimeSeries().mean() == 0.0
-
-
 class TestCounterBag:
+    def test_default_zero(self):
+        assert CounterBag()["missing"] == 0.0
+
+    def test_add(self):
+        bag = CounterBag()
+        bag.add("messages")
+        bag.add("messages", 2)
+        assert bag["messages"] == 3.0
+
+    def test_as_dict_snapshot(self):
+        bag = CounterBag()
+        bag.add("x", 1.5)
+        snapshot = bag.as_dict()
+        bag.add("x")
+        assert snapshot == {"x": 1.5}
+
+    def test_merge(self):
+        a = CounterBag()
+        a.add("x", 1)
+        b = CounterBag()
+        b.add("x", 2)
+        b.add("y", 3)
+        a.merge(b)
+        assert a["x"] == 3.0 and a["y"] == 3.0
+
     def test_into_registry(self):
         bag = CounterBag()
         bag.add("sends", 3)
@@ -141,10 +151,3 @@ class TestCounterBag:
         assert registry.counter("mpi.sends").value == 3.0
         assert registry.counter("mpi.recvs").value == 1.0
 
-
-class TestSimkitAliases:
-    def test_monitor_is_timeseries_and_counter_is_bag(self):
-        from repro.simkit import Counter, Monitor
-
-        assert issubclass(Monitor, TimeSeries)
-        assert issubclass(Counter, CounterBag)

@@ -1,12 +1,14 @@
 """End-to-end service tests over real sockets (ServerThread + client)."""
 
 import json
+import logging
 import os
 import re
 import signal
 import socket
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -16,9 +18,17 @@ import repro
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.models import CombinedModel, recommend
-from repro.service import ServeClient, ServerThread
-from repro.service.server import MAX_BODY_BYTES, MAX_HEADER_LINES, parse_model
+from repro.service import ServeClient
+from repro.service import server as server_module
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_LINES,
+    MAX_LINE_BYTES,
+    parse_model,
+)
 from repro.store import ResultsStore
+
+from .server_thread import ServerThread
 
 
 def model(i: int = 0, **overrides) -> CombinedModel:
@@ -157,6 +167,31 @@ class TestGracefulDrain:
                 c.healthz()
 
 
+class TestIdleConnections:
+    def test_idle_connection_is_closed_after_the_read_timeout(self, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        runner = ServerThread().start()
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", runner.port), timeout=5.0
+            ) as sock:
+                started = time.monotonic()
+                assert sock.recv(1) == b""  # closed, with no reply
+                assert time.monotonic() - started < 3.0
+        finally:
+            runner.stop()
+
+    def test_drain_closes_an_idle_connection_quietly(self, caplog):
+        runner = ServerThread().start()
+        with ServeClient(port=runner.port) as c:
+            assert c.healthz()["status"] == "ok"  # now idle, kept alive
+            started = time.monotonic()
+            with caplog.at_level(logging.ERROR):
+                runner.stop()
+            assert time.monotonic() - started < 1.5
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
 def raw_exchange(port: int, head: bytes) -> tuple:
     """Send raw request bytes; return (status, JSON body, closed after)."""
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
@@ -184,6 +219,26 @@ class TestHeaderLines:
         assert status == 431
         assert str(MAX_HEADER_LINES) in body["error"]
         assert closed
+
+    def test_over_long_header_line_gets_431(self, server):
+        status, body, closed = raw_exchange(
+            server.port,
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        )
+        assert status == 431
+        assert str(MAX_LINE_BYTES) in body["error"]
+        assert closed
+
+    def test_over_long_request_line_gets_400(self, server):
+        before = server.server.metrics.counter("serve.bad_requests").value
+        status, body, closed = raw_exchange(
+            server.port, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        )
+        assert status == 400
+        assert str(MAX_LINE_BYTES) in body["error"]
+        assert closed
+        after = server.server.metrics.counter("serve.bad_requests").value
+        assert after == before + 1
 
     def test_header_lines_at_the_cap_are_served(self, server):
         status, body, _closed = raw_exchange(

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.models import CombinedModel, recommend
 from repro.orchestration import JobConfig, run_redundancy_sweep
 from repro.store import DEFAULT_STORE_DIR, STORE_ENV, ResultsStore, resolve_store
@@ -62,10 +63,39 @@ class TestFacade:
         run_redundancy_sweep(
             base_config(), node_mtbfs=[3.0], degrees=[1.0], store=old
         )
-        assert len(old.index) == 1
+        assert old.stats()["entries"] == 1
         new = ResultsStore(tmp_path, version="1.0.0")
         assert new.invalidated == 1
-        assert len(new.index) == 0
+        assert new.stats()["entries"] == 0
+        assert [p.name for p in (tmp_path / "objects").iterdir()] == ["1.0.0"]
+
+    @pytest.mark.parametrize("version", ["../x", "a/b", ".hidden", "", "v 1"])
+    def test_version_must_name_a_plain_directory(self, tmp_path, version):
+        with pytest.raises(ConfigurationError, match="version"):
+            ResultsStore(tmp_path, version=version)
+
+    def test_old_flat_layout_opens_clean_and_recomputes(self, tmp_path):
+        # Earlier releases sharded blobs straight under objects/ and
+        # kept a key index beside them.
+        store = ResultsStore(tmp_path)
+        run_redundancy_sweep(
+            base_config(), node_mtbfs=[3.0], degrees=[1.0], store=store
+        )
+        versioned = tmp_path / "objects" / store.version
+        for shard in versioned.iterdir():
+            shard.rename(tmp_path / "objects" / shard.name)
+        versioned.rmdir()
+        (tmp_path / "index.jsonl").write_text('{"op": "put"}\n')
+        reopened = ResultsStore(tmp_path)
+        assert reopened.invalidated == 1
+        assert not (tmp_path / "index.jsonl").exists()
+        assert [p.name for p in (tmp_path / "objects").iterdir()] == [store.version]
+        cells = run_redundancy_sweep(
+            base_config(), node_mtbfs=[3.0], degrees=[1.0], store=reopened
+        )
+        assert reopened.misses == 1 and reopened.writes == 1
+        assert not cells[0].cached
+        assert reopened.stats()["entries"] == 1
 
     def test_object_memoization(self, tmp_path):
         store = ResultsStore(tmp_path)

@@ -36,12 +36,6 @@ class TestConversions:
     def test_roundtrip_hours(self, value):
         assert units.to_hours(units.hours(value)) == pytest.approx(value)
 
-    def test_mib(self):
-        assert units.mib(1) == 1024 * 1024
-
-    def test_gib(self):
-        assert units.gib(2) == 2 * 1024**3
-
 
 class TestParseDuration:
     @pytest.mark.parametrize(
@@ -86,8 +80,3 @@ class TestFormatting:
     def test_rounding_carry_minutes(self):
         # 59m59.7s rounds to the next hour without showing 60m.
         assert units.fmt_duration(3599.7) == "1h00m"
-
-    def test_bytes_format(self):
-        assert units.fmt_bytes(units.gib(1.5)) == "1.5GiB"
-        assert units.fmt_bytes(512) == "512B"
-        assert units.fmt_bytes(units.mib(3)) == "3.0MiB"
